@@ -243,8 +243,7 @@ def period_lattice_of_cover(c: BranchedTorusCover) -> PlanarLattice:
         gens.append(
             [pot[u][0] + w[0] - pot[v][0], pot[u][1] + w[1] - pot[v][1]]
         )
-    reduced = [row for row in row_hnf(gens) if any(row)]
-    return PlanarLattice(GaussianRational(x, y) for x, y in reduced)
+    return PlanarLattice(GaussianRational(x, y) for x, y in row_hnf(gens))
 
 
 def cover_class_invariants(c: BranchedTorusCover):

@@ -1,7 +1,8 @@
 """Exact linear algebra over Z and Q on plain lists of lists.
 
 Lattices are handled as lists of generator vectors (rows).  All integer
-routines use arbitrary-precision ints; the rational ones use Fraction.
+routines use arbitrary-precision ints; rank, kernel and solve share one
+Gauss-Jordan elimination over Fraction or GaussianRational entries.
 No floating point anywhere.
 """
 
@@ -11,6 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError
+from .exact import GaussianRational
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +85,7 @@ def row_hnf(rows):
     entries above a pivot are reduced into [0, pivot).  Zero rows are
     dropped, so equal lattices give identical outputs.
     """
-    h, _ = row_hnf_transform(rows)
-    return h
+    return [r for r in row_hnf_transform(rows)[0] if not is_zero_vec(r)]
 
 
 def row_hnf_transform(rows):
@@ -139,10 +140,6 @@ def row_hnf_transform(rows):
     return a, u
 
 
-def hnf_rows_nonzero(rows):
-    return [r for r in row_hnf_transform(rows)[0] if not is_zero_vec(r)]
-
-
 def integer_kernel(rows, width=None):
     """Basis of the saturated lattice {x in Z^n : A x = 0}, A given by rows.
 
@@ -157,7 +154,7 @@ def integer_kernel(rows, width=None):
     b = transpose(rows)  # n x m
     h, u = row_hnf_transform(b)
     ker = [u[i] for i in range(n) if is_zero_vec(h[i])]
-    return hnf_rows_nonzero(ker) if ker else []
+    return row_hnf(ker)
 
 
 def saturate_rows(rows, width=None):
@@ -172,71 +169,40 @@ def saturate_rows(rows, width=None):
 
 
 # ---------------------------------------------------------------------------
-# Pfaffian
+# rational elimination
 
 
-def pfaffian(a):
-    """Pfaffian of an antisymmetric integer matrix, by recursive expansion."""
-    n = len(a)
-    if n % 2 != 0:
-        raise DomainError("Pfaffian needs even size, got %d" % n)
-    for i in range(n):
-        if a[i][i] != 0:
-            raise DomainError("matrix has a nonzero diagonal entry")
-        for j in range(i):
-            if a[i][j] != -a[j][i]:
-                raise DomainError("matrix is not antisymmetric")
-    return _pf(a, list(range(n)))
+def _gauss_jordan(rows):
+    """Reduced row echelon form over an exact field: (rows, pivot columns).
 
-
-def _pf(a, idx):
-    if not idx:
-        return 1
-    i0 = idx[0]
-    total = 0
-    sign = 1
-    for pos in range(1, len(idx)):
-        j = idx[pos]
-        coef = a[i0][j]
-        if coef:
-            rest = [k for k in idx[1:] if k != j]
-            total += sign * coef * _pf(a, rest)
-        sign = -sign
-    return total
-
-
-# ---------------------------------------------------------------------------
-# rational elimination (Fraction-based)
-
-
-def _frac_rows(rows):
-    return [[Fraction(x) for x in r] for r in rows]
-
-
-def rational_rank(rows):
-    a = _frac_rows(rows)
+    Ints and Fractions become Fraction, GaussianRational entries are kept;
+    a zero is anything falsy.  Each column's pivot is its first nonzero
+    entry at or below the current row.
+    """
+    a = [[x if isinstance(x, GaussianRational) else Fraction(x) for x in r] for r in rows]
     m = len(a)
     n = len(a[0]) if m else 0
-    rank = 0
+    pivots = []
     for c in range(n):
-        piv = None
-        for i in range(rank, m):
-            if a[i][c] != 0:
-                piv = i
-                break
+        rank = len(pivots)
+        if rank == m:
+            break
+        piv = next((i for i in range(rank, m) if a[i][c]), None)
         if piv is None:
             continue
         a[rank], a[piv] = a[piv], a[rank]
         pv = a[rank][c]
         a[rank] = [x / pv for x in a[rank]]
         for i in range(m):
-            if i != rank and a[i][c] != 0:
+            if i != rank and a[i][c]:
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+        pivots.append(c)
+    return a, pivots
+
+
+def rational_rank(rows):
+    return len(_gauss_jordan(rows)[1])
 
 
 def rational_kernel(rows, width=None):
@@ -248,30 +214,12 @@ def rational_kernel(rows, width=None):
             [Fraction(1) if i == j else Fraction(0) for j in range(width)]
             for i in range(width)
         ]
-    a = _frac_rows(rows)
-    m, n = len(a), len(a[0])
-    pivots = []
-    rank = 0
-    for c in range(n):
-        piv = None
-        for i in range(rank, m):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        pv = a[rank][c]
-        a[rank] = [x / pv for x in a[rank]]
-        for i in range(m):
-            if i != rank and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        pivots.append(c)
-        rank += 1
-    free = [c for c in range(n) if c not in pivots]
+    a, pivots = _gauss_jordan(rows)
+    n = len(a[0])
     basis = []
-    for fc in free:
+    for fc in range(n):
+        if fc in pivots:
+            continue
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
@@ -283,66 +231,18 @@ def rational_kernel(rows, width=None):
 def rational_solve(rows, rhs):
     """Solve A x = rhs exactly; raises DomainError if inconsistent.
 
-    When the system is underdetermined, returns the solution with free
-    variables set to zero.
+    The right-hand side rides along as an extra column, so a pivot there
+    means no solution.  When the system is underdetermined, returns the
+    solution with free variables set to zero.
     """
-    a = _frac_rows(rows)
-    b = [Fraction(x) for x in rhs]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    pivots = []
-    rank = 0
-    for c in range(n):
-        piv = None
-        for i in range(rank, m):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        b[rank], b[piv] = b[piv], b[rank]
-        pv = a[rank][c]
-        a[rank] = [x / pv for x in a[rank]]
-        b[rank] = b[rank] / pv
-        for i in range(m):
-            if i != rank and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-                b[i] = b[i] - f * b[rank]
-        pivots.append(c)
-        rank += 1
-    for i in range(rank, m):
-        if b[i] != 0:
-            raise DomainError("inconsistent linear system")
+    n = len(rows[0]) if rows else 0
+    a, pivots = _gauss_jordan([list(r) + [b] for r, b in zip(rows, rhs)])
+    if pivots and pivots[-1] == n:
+        raise DomainError("inconsistent linear system")
     x = [Fraction(0)] * n
     for r, pc in enumerate(pivots):
-        x[pc] = b[r]
+        x[pc] = a[r][n]
     return x
-
-
-def rational_det(rows):
-    a = _frac_rows(rows)
-    n = len(a)
-    det = Fraction(1)
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return det
 
 
 # ---------------------------------------------------------------------------

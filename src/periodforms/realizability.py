@@ -14,16 +14,8 @@ from math import gcd, lcm
 
 from .errors import DomainError
 from .exact import GaussianRational, format_rational
-from .intlinalg import rational_solve, row_hnf
-from .symplectic_lattice import Sublattice, determinant, saturate
-
-
-def _omega(u, v):
-    """Standard symplectic pairing, generic over the coefficient ring."""
-    total = 0
-    for k in range(0, len(u), 2):
-        total = total + u[k] * v[k + 1] - u[k + 1] * v[k]
-    return total
+from .intlinalg import rational_rank, rational_solve, row_hnf
+from .symplectic_lattice import Sublattice, determinant, omega, saturate
 
 
 def _clear_denominators(rows):
@@ -196,7 +188,7 @@ class RealizabilityVerdict:
 
 def area(c: CohomologyClass) -> Fraction:
     """Signed area omega(Re c, Im c); positive for holomorphic orientation."""
-    return _omega(c.re_vector(), c.im_vector())
+    return omega(c.re_vector(), c.im_vector())
 
 
 def period_group(c: CohomologyClass) -> PlanarLattice:
@@ -207,10 +199,9 @@ def period_group(c: CohomologyClass) -> PlanarLattice:
     for row in rows:
         den = lcm(den, row[0].denominator, row[1].denominator)
     ints = [[int(x * den) for x in row] for row in rows]
-    reduced = [row for row in row_hnf(ints) if any(row)]
     basis = [
         GaussianRational(Fraction(row[0], den), Fraction(row[1], den))
-        for row in reduced
+        for row in row_hnf(ints)
     ]
     return PlanarLattice(basis)
 
@@ -303,28 +294,6 @@ def line_verdict_from_floats(
     )
 
 
-def _gaussian_rank(rows):
-    rows = [list(r) for r in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        piv = next(
-            (i for i in range(rank, len(rows)) if not rows[i][col].is_zero()), None
-        )
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col]
-        for i in range(len(rows)):
-            if i != rank and not rows[i][col].is_zero():
-                f = rows[i][col] / inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
 def _gaussian_det(m):
     if len(m) == 1:
         return m[0][0]
@@ -346,12 +315,12 @@ def hodge_riemann_check(taus) -> bool:
     genus = taus[0].genus
     if any(t.genus != genus for t in taus):
         raise DomainError("classes live on surfaces of different genus")
-    if _gaussian_rank([list(t.periods) for t in taus]) < len(taus):
+    if rational_rank([list(t.periods) for t in taus]) < len(taus):
         raise DomainError("classes are linearly dependent")
     k = len(taus)
     conj = [[p.conjugate() for p in t.periods] for t in taus]
     h = [
-        [_omega(list(taus[j].periods), conj[m]).times_i() for m in range(k)]
+        [omega(list(taus[j].periods), conj[m]).times_i() for m in range(k)]
         for j in range(k)
     ]
     for size in range(1, k + 1):
@@ -365,7 +334,7 @@ def hodge_riemann_check(taus) -> bool:
 def isotropy_check(a: CohomologyClass, b: CohomologyClass) -> bool:
     if a.genus != b.genus:
         raise DomainError("classes live on surfaces of different genus")
-    return _omega(list(a.periods), list(b.periods)).is_zero()
+    return omega(list(a.periods), list(b.periods)).is_zero()
 
 
 def elliptic_pair_criterion(det, genus):
@@ -411,7 +380,7 @@ def _splitting_witness(a, b, lattice, height):
         ]
         partners.append(w)
     pair = [
-        [_omega(list(u), w) for w in partners] for u in lattice.vectors
+        [omega(list(u), w) for w in partners] for u in lattice.vectors
     ]
     for c in _primitive_by_height(len(lattice.vectors), height):
         value = Fraction(0)
@@ -560,7 +529,7 @@ def torus_data(taus):
         matrix.append([GaussianRational(x, y) for x, y in zip(xs, ys)])
     stacked = [list(row) for row in matrix]
     stacked.extend([x.conjugate() for x in row] for row in matrix)
-    if _gaussian_rank(stacked) != 2 * k:
+    if rational_rank(stacked) != 2 * k:
         raise DomainError("span of the classes meets its conjugate")
     return lattice, matrix
 

@@ -1,5 +1,6 @@
-"""Integral symplectic lattices: saturation, Pfaffian determinants, normal
-forms, and constructive transitivity of Sp(2g, Z) on complete sublattices.
+"""Integral symplectic lattices: saturation, determinants and normal forms
+of the restricted form, and constructive transitivity of Sp(2g, Z) on
+complete sublattices.
 
 Ambient is Z^(2g) with basis ordered e0, f0, e1, f1, ... and the standard
 form pairing e_i with f_i.  Sublattices are given by integer generator
@@ -8,19 +9,17 @@ vectors; the Hermite form of the generators is the canonical representative.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 
 from .errors import DomainError
 from .intlinalg import (
     bezout_vector,
-    hnf_rows_nonzero,
     identity,
     integer_kernel,
     is_zero_vec,
     mat_eq,
     mat_mul,
     mat_vec,
-    pfaffian,
     rational_rank,
     rational_solve,
     row_hnf,
@@ -42,50 +41,12 @@ def standard_gram(genus: int):
     return j
 
 
-class SymplecticSpace:
-    """Z^(2g) equipped with an integral alternating nondegenerate form."""
-
-    def __init__(self, genus: int, gram=None):
-        if genus < 1:
-            raise DomainError("genus must be at least 1")
-        self.genus = genus
-        self.dim = 2 * genus
-        if gram is None:
-            gram = standard_gram(genus)
-            self._standard = True
-        else:
-            gram = [[int(x) for x in row] for row in gram]
-            if len(gram) != self.dim or any(len(r) != self.dim for r in gram):
-                raise DomainError("gram matrix must be 2g x 2g")
-            for i in range(self.dim):
-                if gram[i][i] != 0:
-                    raise DomainError("gram matrix has nonzero diagonal")
-                for k in range(i):
-                    if gram[i][k] != -gram[k][i]:
-                        raise DomainError("gram matrix is not antisymmetric")
-            if pfaffian(gram) == 0:
-                raise DomainError("gram matrix is degenerate")
-            self._standard = mat_eq(gram, standard_gram(genus))
-        self.gram = gram
-
-    def is_standard(self) -> bool:
-        return self._standard
-
-    def pairing(self, u, v) -> int:
-        """omega(u, v) = u^T * gram * v."""
-        jv = mat_vec(self.gram, v)
-        return sum(a * b for a, b in zip(u, jv))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SymplecticSpace)
-            and self.genus == other.genus
-            and mat_eq(self.gram, other.gram)
-        )
-
-    def __repr__(self):
-        tag = "standard" if self._standard else "custom"
-        return "SymplecticSpace(genus=%d, %s)" % (self.genus, tag)
+def omega(u, v):
+    """Standard symplectic pairing, generic over the coefficient ring."""
+    total = 0
+    for k in range(0, len(u), 2):
+        total = total + u[k] * v[k + 1] - u[k + 1] * v[k]
+    return total
 
 
 def is_indivisible(v) -> bool:
@@ -94,9 +55,10 @@ def is_indivisible(v) -> bool:
 
 
 class Sublattice:
-    """A finite-rank sublattice of the ambient, given by generator vectors."""
+    """A finite-rank sublattice of Z^(2g) with the standard form, given by
+    generator vectors; genus defaults to half the vector length."""
 
-    def __init__(self, vectors, genus=None, space=None):
+    def __init__(self, vectors, genus=None):
         vectors = [tuple(int(x) for x in v) for v in vectors]
         if not vectors:
             raise DomainError("sublattice needs at least one generator")
@@ -105,18 +67,16 @@ class Sublattice:
             raise DomainError("generators have mixed lengths")
         if n % 2 != 0 or n < 2:
             raise DomainError("ambient dimension must be even and positive")
-        if space is None:
-            space = SymplecticSpace(genus if genus is not None else n // 2)
-        if space.dim != n:
+        if genus is None:
+            genus = n // 2
+        elif genus < 1:
+            raise DomainError("genus must be at least 1")
+        if 2 * genus != n:
             raise DomainError("generators do not match the ambient dimension")
         if rational_rank(vectors) != len(vectors):
             raise DomainError("generators are linearly dependent")
-        self.space = space
+        self.genus = genus
         self.vectors = vectors
-
-    @property
-    def genus(self) -> int:
-        return self.space.genus
 
     @property
     def rank(self) -> int:
@@ -127,11 +87,11 @@ class Sublattice:
         return row_hnf(list(map(list, self.vectors)))
 
     def same_lattice(self, other: "Sublattice") -> bool:
-        return self.space == other.space and mat_eq(self.hnf(), other.hnf())
+        return self.genus == other.genus and mat_eq(self.hnf(), other.hnf())
 
     def gram_matrix(self):
         vs = self.vectors
-        return [[self.space.pairing(u, v) for v in vs] for u in vs]
+        return [[omega(u, v) for v in vs] for u in vs]
 
     def contains(self, v) -> bool:
         try:
@@ -146,8 +106,8 @@ class Sublattice:
 
 def saturate(lattice: Sublattice) -> Sublattice:
     """Smallest sublattice containing the input with torsion-free quotient."""
-    sat = saturate_rows(list(map(list, lattice.vectors)), lattice.space.dim)
-    return Sublattice(sat, space=lattice.space)
+    sat = saturate_rows(list(map(list, lattice.vectors)), 2 * lattice.genus)
+    return Sublattice(sat, genus=lattice.genus)
 
 
 def is_complete(lattice: Sublattice) -> bool:
@@ -155,14 +115,18 @@ def is_complete(lattice: Sublattice) -> bool:
 
 
 def determinant(lattice: Sublattice) -> int:
-    """|Pfaffian| of the restricted Gram matrix; rank must be even and the
-    restriction nondegenerate."""
+    """Product of the divisors of the restricted form, which is |Pfaffian| of
+    its Gram matrix; rank must be even and the restriction nondegenerate.
+
+    Read off the alternating normal form, so it costs polynomial time.
+    """
     if lattice.rank % 2 != 0:
         raise DomainError("not symplectic sublattice: odd rank")
-    pf = pfaffian(lattice.gram_matrix())
-    if pf == 0:
-        raise DomainError("not symplectic sublattice: degenerate restriction")
-    return abs(pf)
+    try:
+        divisors, _ = _alternating_reduce(lattice.gram_matrix())
+    except DomainError:
+        raise DomainError("not symplectic sublattice: degenerate restriction") from None
+    return prod(divisors)
 
 
 class NormalForm:
@@ -185,7 +149,7 @@ def alternating_normal_form(lattice: Sublattice) -> NormalForm:
     gram = lattice.gram_matrix()
     divisors, change = _alternating_reduce(gram)
     new_vectors = mat_mul(change, list(map(list, lattice.vectors)))
-    basis = Sublattice(new_vectors, space=lattice.space)
+    basis = Sublattice(new_vectors, genus=lattice.genus)
     return NormalForm(divisors, basis, change)
 
 
@@ -285,11 +249,9 @@ class SpMatrix:
         return mat_vec(self.entries, [int(x) for x in v])
 
     def apply_lattice(self, lattice: Sublattice) -> Sublattice:
-        if not lattice.space.is_standard() or lattice.genus != self.genus:
+        if lattice.genus != self.genus:
             raise DomainError("lattice does not live in this matrix's space")
-        return Sublattice(
-            [self.apply(v) for v in lattice.vectors], space=lattice.space
-        )
+        return Sublattice([self.apply(v) for v in lattice.vectors], genus=self.genus)
 
     def compose(self, other: "SpMatrix") -> "SpMatrix":
         """self after other (matrix product self * other)."""
@@ -337,8 +299,7 @@ def extend_to_symplectic_basis(v, genus=None) -> SpMatrix:
     comp = integer_kernel(rows, n)
     cols = [v, w]
     if comp:
-        space = SymplecticSpace(g)
-        gram = [[space.pairing(a, b) for b in comp] for a in comp]
+        gram = [[omega(a, b) for b in comp] for a in comp]
         divisors, change = _alternating_reduce(gram)
         assert all(d == 1 for d in divisors), "complement is not unimodular"
         cols.extend(mat_mul(change, comp))
@@ -462,10 +423,8 @@ def _check_canonical(r: SpMatrix, lattice: Sublattice, d: int):
 
 
 def _validate_pair(u: Sublattice, u2: Sublattice, rank: int):
-    if u.space != u2.space:
+    if u.genus != u2.genus:
         raise DomainError("sublattices live in different ambients")
-    if not u.space.is_standard():
-        raise DomainError("transitivity requires the standard symplectic form")
     if u.rank != rank or u2.rank != rank:
         raise DomainError("expected rank-%d sublattices" % rank)
     d1 = determinant(u)
@@ -505,7 +464,7 @@ def _reduce_rank4_to_canonical(lattice: Sublattice) -> SpMatrix:
     if nf.divisors[0] != 1:
         raise DomainError("restriction not indivisible")
     x1, y1, x2, y2 = nf.basis.vectors
-    q = Sublattice([x1, y1], space=lattice.space)
+    q = Sublattice([x1, y1], genus=g)
     ra, _ = _reduce_rank2_to_canonical(q)
     vx2 = ra.apply(x2)
     vy2 = ra.apply(y2)

@@ -2,10 +2,13 @@
 
 import io
 import json
+import random
+import time
 
 import pytest
 
 from periodforms.cli import main
+from test_intlinalg import reference_det
 
 LINE_INPUT = '{"genus":2,"periods":[["1","0"],["0","1"],["0","0"],["0","0"]]}'
 GENUS2_CURVE = {"kind": "hyperelliptic", "f": ["0", "-1", "0", "0", "0", "1"]}
@@ -135,6 +138,32 @@ def test_lattice_det_and_saturate(capsys):
     code, out, _ = run(capsys, "lattice", "saturate", "--input", doc)
     assert code == 0
     assert json.loads(out) == {"genus": 2, "vectors": [[1, 0, 0, 0], [0, 1, 0, 0]]}
+
+
+def test_lattice_det_of_dense_rank18_takes_polynomial_time(capsys):
+    rng = random.Random(18)
+    vectors = [[rng.randint(-3, 3) for _ in range(18)] for _ in range(18)]
+    gram = [
+        [sum(u[k] * v[k + 1] - u[k + 1] * v[k] for k in range(0, 18, 2)) for v in vectors]
+        for u in vectors
+    ]
+    gram_det = reference_det(gram)
+    assert gram_det != 0
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "lattice", "det", "--input", payload(genus=9, vectors=vectors))
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(out)["determinant"] ** 2 == gram_det
+    assert elapsed < 2.0
+
+
+def test_lattice_genus_is_checked_against_the_vectors(capsys):
+    # a huge genus is compared with the vector length, never allocated
+    for genus, message in ((0, "genus must be at least 1"), (10**9, "generators do not match the ambient dimension")):
+        doc = payload(genus=genus, vectors=[[1, 0, 0, 0], [0, 1, 0, 0]])
+        code, out, err = run(capsys, "lattice", "det", "--input", doc)
+        assert code == 1 and out == ""
+        assert message in err
 
 
 def test_lattice_normal_form(capsys):

@@ -4,13 +4,12 @@ from fractions import Fraction
 import pytest
 
 from periodforms.errors import DomainError
+from periodforms.exact import GaussianRational
 from periodforms.intlinalg import (
     bezout_vector,
     integer_kernel,
     mat_eq,
     mat_mul,
-    pfaffian,
-    rational_det,
     rational_kernel,
     rational_rank,
     rational_solve,
@@ -19,14 +18,34 @@ from periodforms.intlinalg import (
     saturate_rows,
     transpose,
 )
+from periodforms.symplectic_lattice import Sublattice, determinant
 
 
 def random_matrix(rng, m, n, size=5):
     return [[rng.randint(-size, size) for _ in range(n)] for _ in range(m)]
 
 
+def reference_det(rows):
+    """Determinant by Fraction elimination, independent of the library."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        for i in range(c + 1, n):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
+
+
 def is_unimodular(u):
-    return abs(rational_det([[Fraction(x) for x in row] for row in u])) == 1
+    return abs(reference_det(u)) == 1
 
 
 def test_hnf_transform_reconstructs():
@@ -45,7 +64,7 @@ def test_hnf_shape():
     # pivots positive, entries above reduced, zero rows at bottom
     assert h == [[2, 0], [0, 2]]
     h = row_hnf([[2, 4, 6], [1, 2, 3]])
-    assert h == [[1, 2, 3], [0, 0, 0]]
+    assert h == [[1, 2, 3]]
 
 
 def test_hnf_canonical_for_equal_row_spans():
@@ -91,33 +110,36 @@ def test_saturate_rows():
     assert mat_eq(sat, [[1, 2]])
 
 
-def test_pfaffian_values():
-    j2 = [[0, 1], [-1, 0]]
-    assert pfaffian(j2) == 1
-    assert pfaffian([[0, -3], [3, 0]]) == -3
-    a = [
+def test_determinant_values():
+    # |Pfaffian| of the Gram matrix, on lattices realizing hand-picked Grams
+    lat = Sublattice([[1, 0], [0, 1]])
+    assert lat.gram_matrix() == [[0, 1], [-1, 0]]
+    assert determinant(lat) == 1
+    lat = Sublattice([[1, 0], [0, -3]])
+    assert lat.gram_matrix() == [[0, -3], [3, 0]]
+    assert determinant(lat) == 3
+    lat = Sublattice([[1, 0, 0, 0], [0, 1, 0, 0], [-4, 2, 1, 0], [-5, 3, 0, 8]])
+    assert lat.gram_matrix() == [
         [0, 1, 2, 3],
         [-1, 0, 4, 5],
         [-2, -4, 0, 6],
         [-3, -5, -6, 0],
     ]
     # pf = a01*a23 - a02*a13 + a03*a12
-    assert pfaffian(a) == 1 * 6 - 2 * 5 + 3 * 4
-    with pytest.raises(DomainError):
-        pfaffian([[0, 1], [1, 0]])
+    assert determinant(lat) == 1 * 6 - 2 * 5 + 3 * 4
 
 
-def test_pfaffian_squares_to_determinant():
+def test_determinant_squares_to_gram_determinant():
     rng = random.Random(41)
     for _ in range(30):
-        n = rng.choice([2, 4, 6])
-        a = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                a[i][j] = rng.randint(-4, 4)
-                a[j][i] = -a[i][j]
-        d = rational_det([[Fraction(x) for x in row] for row in a])
-        assert Fraction(pfaffian(a)) ** 2 == d
+        rank = rng.choice([2, 4, 6, 8, 10, 12, 14])
+        genus = rng.randint(rank // 2, 8)
+        while True:
+            vectors = random_matrix(rng, rank, 2 * genus, 3)
+            gram_det = reference_det(Sublattice(vectors).gram_matrix())
+            if gram_det:
+                break
+        assert determinant(Sublattice(vectors)) ** 2 == gram_det
 
 
 def test_rational_solve_and_kernel():
@@ -129,6 +151,28 @@ def test_rational_solve_and_kernel():
     ker = rational_kernel([[Fraction(1), Fraction(2)]], 2)
     assert len(ker) == 1
     assert ker[0][0] * 1 + ker[0][1] * 2 == 0
+
+
+def test_elimination_over_gaussian_rationals():
+    rng = random.Random(53)
+    gauss = lambda size: GaussianRational(rng.randint(-size, size), rng.randint(-size, size))
+    apply = lambda r, v: sum((a * b for a, b in zip(r, v)), GaussianRational())
+    for _ in range(40):
+        m = rng.randint(1, 4)
+        n = rng.randint(1, 5)
+        rows = [[gauss(2) for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.5:
+            # a dependent row: a Gaussian combination of two others
+            c = gauss(2)
+            rows.append([c * x + y for x, y in zip(rows[0], rows[-1])])
+        kernel = rational_kernel(rows, n)
+        assert rational_rank(rows) + len(kernel) == n
+        for v in kernel:
+            assert all(apply(r, v) == 0 for r in rows)
+        x0 = [gauss(3) for _ in range(n)]
+        rhs = [apply(r, x0) for r in rows]
+        x = rational_solve(rows, rhs)
+        assert [apply(r, x) for r in rows] == rhs
 
 
 def test_bezout_vector():
