@@ -1,8 +1,9 @@
 """Exact linear algebra over Z and Q on plain lists of lists.
 
 Lattices are handled as lists of generator vectors (rows).  All integer
-routines use arbitrary-precision ints; rank, kernel and solve share one
-Gauss-Jordan elimination over Fraction or GaussianRational entries.
+routines use arbitrary-precision ints; the rank of an integer matrix comes
+from fraction-free elimination, and rational rank, kernel and solve share
+one Gauss-Jordan elimination over Fraction or GaussianRational entries.
 No floating point anywhere.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .errors import DomainError
 from .exact import GaussianRational
@@ -28,15 +30,8 @@ def transpose(mat):
 
 
 def mat_mul(a, b):
-    n, k = len(a), len(b)
-    cols = len(b[0]) if b else 0
-    out = []
-    for i in range(n):
-        row_a = a[i]
-        out.append(
-            [sum(row_a[t] * b[t][j] for t in range(k)) for j in range(cols)]
-        )
-    return out
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def mat_vec(a, v):
@@ -169,7 +164,35 @@ def saturate_rows(rows, width=None):
 
 
 # ---------------------------------------------------------------------------
-# rational elimination
+# elimination
+
+
+def integer_rank(rows):
+    """Rank of an integer matrix by Bareiss fraction-free elimination.
+
+    After k pivots every live entry is a (k+1)-minor of the input, so the
+    division by the previous pivot is exact and entry sizes stay
+    polynomial; only ints and exact // are used.
+    """
+    a = list(rows)
+    m = len(a)
+    n = len(a[0]) if m else 0
+    rank, prev = 0, 1
+    for c in range(n):
+        if rank == m:
+            break
+        piv = next((i for i in range(rank, m) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        top = a[rank]
+        p = top[c]
+        for i in range(rank + 1, m):
+            f = a[i][c]
+            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
+        prev = p
+        rank += 1
+    return rank
 
 
 def _gauss_jordan(rows):
@@ -235,6 +258,8 @@ def rational_solve(rows, rhs):
     means no solution.  When the system is underdetermined, returns the
     solution with free variables set to zero.
     """
+    if len(rhs) != len(rows):
+        raise DomainError("right-hand side length does not match the rows")
     n = len(rows[0]) if rows else 0
     a, pivots = _gauss_jordan([list(r) + [b] for r, b in zip(rows, rhs)])
     if pivots and pivots[-1] == n:

@@ -20,7 +20,7 @@ from .intlinalg import (
     mat_eq,
     mat_mul,
     mat_vec,
-    rational_rank,
+    integer_rank,
     rational_solve,
     row_hnf,
     saturate_rows,
@@ -73,7 +73,7 @@ class Sublattice:
             raise DomainError("genus must be at least 1")
         if 2 * genus != n:
             raise DomainError("generators do not match the ambient dimension")
-        if rational_rank(vectors) != len(vectors):
+        if integer_rank(vectors) != len(vectors):
             raise DomainError("generators are linearly dependent")
         self.genus = genus
         self.vectors = vectors
@@ -94,6 +94,8 @@ class Sublattice:
         return [[omega(u, v) for v in vs] for u in vs]
 
     def contains(self, v) -> bool:
+        if len(v) != 2 * self.genus:
+            raise DomainError("vector length does not match the ambient dimension")
         try:
             sol = rational_solve(transpose(self.vectors), v)
         except DomainError:
@@ -231,8 +233,25 @@ def _alternating_reduce(gram):
     return divisors, c
 
 
+def _j_times(rows):
+    """J * rows for the standard form: a signed swap of each row pair."""
+    out = []
+    for k in range(0, len(rows), 2):
+        out.append(list(rows[k + 1]))
+        out.append([-x for x in rows[k]])
+    return out
+
+
 class SpMatrix:
-    """An element of Sp(2g, Z) for the standard form, acting on columns."""
+    """An element of Sp(2g, Z) for the standard form, acting on columns.
+
+    The public constructor checks E^T J E = J on every matrix built from raw
+    entries: user input, extend_to_symplectic_basis, _shear, and the matrix
+    map_rank2_sublattice / map_rank4_sublattice return.  Products, inverses,
+    the identity and block embeddings of members stay in Sp(2g, Z) because
+    it is a group, so compose, inverse, sp_identity and _embed_reduced build
+    through _trusted and skip the check.
+    """
 
     def __init__(self, entries):
         entries = [[int(x) for x in row] for row in entries]
@@ -240,13 +259,23 @@ class SpMatrix:
         if n % 2 != 0 or n < 2 or any(len(r) != n for r in entries):
             raise DomainError("symplectic matrix must be square of even size")
         self.genus = n // 2
-        j = standard_gram(self.genus)
-        if not mat_eq(mat_mul(transpose(entries), mat_mul(j, entries)), j):
+        if not mat_eq(mat_mul(transpose(entries), _j_times(entries)), standard_gram(self.genus)):
             raise DomainError("matrix does not preserve the symplectic form")
         self.entries = entries
 
+    @classmethod
+    def _trusted(cls, entries):
+        """Wrap entries already known to lie in Sp(2g, Z), without a check."""
+        m = cls.__new__(cls)
+        m.genus = len(entries) // 2
+        m.entries = entries
+        return m
+
     def apply(self, v):
-        return mat_vec(self.entries, [int(x) for x in v])
+        v = [int(x) for x in v]
+        if len(v) != 2 * self.genus:
+            raise DomainError("vector length does not match the matrix")
+        return mat_vec(self.entries, v)
 
     def apply_lattice(self, lattice: Sublattice) -> Sublattice:
         if lattice.genus != self.genus:
@@ -255,13 +284,11 @@ class SpMatrix:
 
     def compose(self, other: "SpMatrix") -> "SpMatrix":
         """self after other (matrix product self * other)."""
-        return SpMatrix(mat_mul(self.entries, other.entries))
+        return SpMatrix._trusted(mat_mul(self.entries, other.entries))
 
     def inverse(self) -> "SpMatrix":
-        # A^-1 = -J A^T J for the standard form (J^2 = -I)
-        j = standard_gram(self.genus)
-        inv = mat_mul(j, mat_mul(transpose(self.entries), j))
-        return SpMatrix([[-x for x in row] for row in inv])
+        # A^-1 = -J A^T J = J (J A)^T for the standard form (J^T = -J)
+        return SpMatrix._trusted(_j_times(transpose(_j_times(self.entries))))
 
     def __eq__(self, other):
         return isinstance(other, SpMatrix) and mat_eq(self.entries, other.entries)
@@ -271,7 +298,7 @@ class SpMatrix:
 
 
 def sp_identity(genus: int) -> SpMatrix:
-    return SpMatrix(identity(2 * genus))
+    return SpMatrix._trusted(identity(2 * genus))
 
 
 def extend_to_symplectic_basis(v, genus=None) -> SpMatrix:
@@ -316,7 +343,7 @@ def _embed_reduced(m: SpMatrix, genus: int) -> SpMatrix:
     for i in range(n - 2):
         for k in range(n - 2):
             out[i + 2][k + 2] = m.entries[i][k]
-    return SpMatrix(out)
+    return SpMatrix._trusted(out)
 
 
 def _shear(xred, genus: int) -> SpMatrix:
@@ -442,7 +469,8 @@ def map_rank2_sublattice(u: Sublattice, u2: Sublattice) -> SpMatrix:
     _validate_pair(u, u2, 2)
     r1, _ = _reduce_rank2_to_canonical(u)
     r2, _ = _reduce_rank2_to_canonical(u2)
-    delta = r2.inverse().compose(r1)
+    # an explicit check of the result, so it still runs under python -O
+    delta = SpMatrix(r2.inverse().compose(r1).entries)
     assert delta.apply_lattice(u).same_lattice(u2), "rank-2 mapping failed"
     return delta
 
@@ -453,7 +481,8 @@ def map_rank4_sublattice(u: Sublattice, u2: Sublattice) -> SpMatrix:
     _validate_pair(u, u2, 4)
     r1 = _reduce_rank4_to_canonical(u)
     r2 = _reduce_rank4_to_canonical(u2)
-    delta = r2.inverse().compose(r1)
+    # an explicit check of the result, so it still runs under python -O
+    delta = SpMatrix(r2.inverse().compose(r1).entries)
     assert delta.apply_lattice(u).same_lattice(u2), "rank-4 mapping failed"
     return delta
 

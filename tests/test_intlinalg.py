@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from periodforms.errors import DomainError
 from periodforms.exact import GaussianRational
 from periodforms.intlinalg import (
     bezout_vector,
     integer_kernel,
+    integer_rank,
     mat_eq,
     mat_mul,
     rational_kernel,
@@ -173,6 +176,55 @@ def test_elimination_over_gaussian_rationals():
         rhs = [apply(r, x0) for r in rows]
         x = rational_solve(rows, rhs)
         assert [apply(r, x) for r in rows] == rhs
+
+
+def test_rational_solve_rejects_mismatched_rhs():
+    rows = [[1, 0], [0, 1], [1, 1]]
+    # the third equation used to be dropped, giving [1, 1]
+    with pytest.raises(DomainError, match="right-hand side length"):
+        rational_solve(rows, [1, 1])
+    with pytest.raises(DomainError, match="right-hand side length"):
+        rational_solve(rows, [1, 1, 2, 0])
+    assert rational_solve(rows, [1, 1, 2]) == [1, 1]
+    with pytest.raises(DomainError, match="inconsistent"):
+        rational_solve(rows, [1, 1, 3])
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer matrices of any shape with dependent, duplicated and zero
+    rows mixed in; entries small or up to 2^200."""
+    n = draw(st.integers(1, 7))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(2**200), 2**200))
+    base = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=6))
+    rows = list(base)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["zero", "duplicate", "combination"]))
+        if kind == "zero" or not base:
+            rows.append([0] * n)
+        elif kind == "duplicate":
+            rows.append(list(draw(st.sampled_from(base))))
+        else:
+            u, v = draw(st.sampled_from(base)), draw(st.sampled_from(base))
+            a, b = draw(entry), draw(entry)
+            rows.append([a * x + b * y for x, y in zip(u, v)])
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_integer_rank_matches_rational_rank(rows):
+    assert integer_rank(rows) == rational_rank(rows)
+
+
+def test_integer_rank_small_cases():
+    assert integer_rank([]) == rational_rank([]) == 0
+    assert integer_rank([[0, 0, 0]]) == 0
+    assert integer_rank([[1, 2], [2, 4], [3, 6]]) == 1
+    assert integer_rank([[0, 1], [1, 0]]) == 2
+    # the first column is zero below the top row, so the second pivot is
+    # found one column to the right
+    assert integer_rank([[2, 1, 0], [0, 0, 3], [0, 0, 6]]) == 2
 
 
 def test_bezout_vector():

@@ -15,6 +15,7 @@ from periodforms.intlinalg import (
 from periodforms.symplectic_lattice import (
     SpMatrix,
     Sublattice,
+    _embed_reduced,
     alternating_normal_form,
     determinant,
     extend_to_symplectic_basis,
@@ -369,6 +370,78 @@ def test_sp_inverse_and_compose():
         assert a.inverse().compose(a) == sp_identity(g)
 
 
+def test_sp_inverse_matches_the_matrix_product_formula():
+    rng = random.Random(61)
+    for _ in range(30):
+        g = rng.randint(1, 5)
+        a = random_sp(g, rng, steps=rng.randint(1, 8), size=2)
+        j = standard_gram(g)
+        product = mat_mul(j, mat_mul(transpose(a.entries), j))
+        assert a.inverse().entries == [[-x for x in row] for row in product]
+
+
+def test_unchecked_sp_builders_pass_the_public_constructor():
+    # compose, inverse, sp_identity and _embed_reduced skip validation
+    # because Sp(2g, Z) is closed under them; the full check agrees
+    rng = random.Random(67)
+    for _ in range(30):
+        g = rng.randint(2, 5)
+        a = random_sp(g, rng, size=2)
+        b = random_sp(g, rng, size=2)
+        built = [
+            a.compose(b),
+            a.inverse(),
+            a.compose(b).inverse(),
+            sp_identity(g),
+            _embed_reduced(random_sp(g - 1, rng, size=2), g),
+        ]
+        for m in built:
+            assert SpMatrix(m.entries) == m
+            assert m.genus == g
+
+
+def test_sp_constructor_rejects_non_symplectic():
+    with pytest.raises(DomainError, match="does not preserve"):
+        SpMatrix([[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    with pytest.raises(DomainError, match="does not preserve"):
+        SpMatrix([[2, 0], [0, 1]])
+    with pytest.raises(DomainError, match="square of even size"):
+        SpMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def test_sp_apply_rejects_wrong_length():
+    m = sp_identity(2)
+    assert m.apply([1, 2, 3, 4]) == [1, 2, 3, 4]
+    # a short vector used to be applied to a prefix, a long one to raise
+    # a bare IndexError
+    for v in ([1, 2], [1, 2, 3, 4, 5, 6]):
+        with pytest.raises(DomainError, match="vector length"):
+            m.apply(v)
+
+
+def test_sublattice_rejects_dependent_generators():
+    big = 2**150 + 7
+    for vectors in (
+        [[1, 2, 3, 4], [2, 4, 6, 8]],
+        [[1, 0, 0, 0], [0, 0, 0, 0]],
+        [[big, 1, 0, 0], [0, big, 1, 0], [big, 1 + big, 1, 0]],
+    ):
+        with pytest.raises(DomainError, match="generators are linearly dependent"):
+            Sublattice(vectors)
+    assert Sublattice([[big, 1, 0, 0], [0, big, 1, 0], [big, 1 + big, 2, 0]]).rank == 3
+
+
+def test_contains_rejects_wrong_length():
+    lat = Sublattice([[1, 0, 0, 0], [0, 1, 0, 0]])
+    assert lat.contains([3, -2, 0, 0])
+    assert not lat.contains([0, 0, 1, 0])
+    # both used to be reported as members: the extra coordinates were
+    # never compared, and the short vector was matched on a prefix
+    for v in ([1, 0, 0, 0, 5, 5], [1, 0]):
+        with pytest.raises(DomainError, match="vector length"):
+            lat.contains(v)
+
+
 # ---------------------------------------------------------------------------
 # rank-2 transitivity
 
@@ -415,6 +488,7 @@ def test_map_rank2_randomized():
         assert determinant(u) == det
         delta = map_rank2_sublattice(u, u2)
         assert delta.apply_lattice(u).same_lattice(u2)
+        assert SpMatrix(delta.entries) == delta
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +505,7 @@ def test_map_rank4_randomized():
         assert determinant(u) == det
         delta = map_rank4_sublattice(u, u2)
         assert delta.apply_lattice(u).same_lattice(u2)
+        assert SpMatrix(delta.entries) == delta
 
 
 def test_map_rank4_genus2_full_lattice():
