@@ -1,9 +1,11 @@
 """Exact linear algebra over Z and Q on plain lists of lists.
 
 Lattices are handled as lists of generator vectors (rows).  All integer
-routines use arbitrary-precision ints; the rank of an integer matrix comes
-from fraction-free elimination, and rational rank, kernel and solve share
-one Gauss-Jordan elimination over Fraction or GaussianRational entries.
+routines use arbitrary-precision ints: Hermite forms, with or without their
+transform, come from one core, lll_reduce is the integral LLL, the rank of
+an integer matrix comes from fraction-free elimination, and rational rank,
+kernel and solve share one Gauss-Jordan elimination over Fraction or
+GaussianRational entries.
 No floating point anywhere.
 """
 
@@ -78,9 +80,12 @@ def row_hnf(rows):
 
     Pivots are positive, each strictly right of the previous one, and the
     entries above a pivot are reduced into [0, pivot).  Zero rows are
-    dropped, so equal lattices give identical outputs.
+    dropped, so equal lattices give identical outputs.  No transform is
+    carried; row_hnf_transform runs the same core with one.
     """
-    return [r for r in row_hnf_transform(rows)[0] if not is_zero_vec(r)]
+    a = [list(r) for r in rows]
+    n = len(a[0]) if a else 0
+    return [r for r in _hermite(a, n) if not is_zero_vec(r)]
 
 
 def row_hnf_transform(rows):
@@ -89,16 +94,23 @@ def row_hnf_transform(rows):
     H keeps the full row count of the input (zero rows at the bottom are
     preserved) so callers can read kernels off U; row_hnf strips them.
     """
-    a = [list(r) for r in rows]
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    a = [list(r) + [1 if i == j else 0 for j in range(m)] for i, r in enumerate(rows)]
+    a = _hermite(a, n)
+    return [r[:n] for r in a], [r[n:] for r in a]
+
+
+def _hermite(a, n):
+    """Hermite form of the rows of a in their first n columns, in place.
+
+    Columns past n ride along with every row operation, so identity
+    columns appended to a record the unimodular transform.  Rows whose
+    first n entries vanish are returned last, in their order.
+    """
     m = len(a)
-    n = len(a[0]) if m else 0
-    u = identity(m)
     r = 0
     for c in range(n):
-        # gather rows at or below r with a nonzero entry in column c
-        live = [i for i in range(r, m) if a[i][c] != 0]
-        if not live:
-            continue
         while True:
             live = [i for i in range(r, m) if a[i][c] != 0]
             if len(live) <= 1:
@@ -110,29 +122,85 @@ def row_hnf_transform(rows):
                 q = a[i][c] // a[i0][c]
                 if q:
                     a[i] = [x - q * y for x, y in zip(a[i], a[i0])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[i0])]
-        live = [i for i in range(r, m) if a[i][c] != 0]
         if not live:
             continue
         i0 = live[0]
         a[r], a[i0] = a[i0], a[r]
-        u[r], u[i0] = u[i0], u[r]
         if a[r][c] < 0:
             a[r] = [-x for x in a[r]]
-            u[r] = [-x for x in u[r]]
         p = a[r][c]
         for i in range(r):
             q = a[i][c] // p
             if q:
                 a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
         r += 1
-    # move the zero rows (and their transform rows) to the bottom, in order
-    nz = [i for i in range(m) if not is_zero_vec(a[i])]
-    z = [i for i in range(m) if is_zero_vec(a[i])]
-    a = [a[i] for i in nz + z]
-    u = [u[i] for i in nz + z]
-    return a, u
+    return a
+
+
+def lll_reduce(rows):
+    """LLL-reduced basis (delta = 3/4) of the lattice spanned by independent
+    integer rows.
+
+    Integral variant of Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 2.6.7: d[i] is the Gram determinant of the first i rows and
+    lam[k][j] = d[j+1] * mu[k][j] is an integer, so only ints and exact //
+    are used.  A row is changed only when it fails size reduction or the
+    Lovasz condition, so a reduced basis comes back unchanged.
+    """
+    b = [list(r) for r in rows]
+    n = len(b)
+    d = [1] * (n + 1)  # d[i + 1] = Gram determinant of rows 0..i
+    lam = [[0] * n for _ in range(n)]
+
+    def gram_schmidt(k):
+        for j in range(k + 1):
+            u = dot(b[k], b[j])
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            elif u == 0:
+                raise DomainError("lattice reduction needs independent rows")
+            else:
+                d[k + 1] = u
+
+    def reduce(k, l):
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    def swap(k, kmax):
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        t = lam[k][k - 1]
+        big = (d[k - 1] * d[k + 1] + t * t) // d[k]
+        for i in range(k + 1, kmax + 1):
+            s = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - t * s) // d[k]
+            lam[i][k - 1] = (big * s + t * lam[i][k]) // d[k + 1]
+        d[k] = big
+
+    if n:
+        gram_schmidt(0)
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            gram_schmidt(k)
+        reduce(k, k - 1)
+        t = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * t * t:
+            swap(k, kmax)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+    return b
 
 
 def integer_kernel(rows, width=None):

@@ -17,12 +17,14 @@ from .intlinalg import (
     identity,
     integer_kernel,
     is_zero_vec,
+    lll_reduce,
     mat_eq,
     mat_mul,
     mat_vec,
     integer_rank,
     rational_solve,
     row_hnf,
+    row_hnf_transform,
     saturate_rows,
     transpose,
     vec_gcd,
@@ -113,7 +115,13 @@ def saturate(lattice: Sublattice) -> Sublattice:
 
 
 def is_complete(lattice: Sublattice) -> bool:
-    return mat_eq(lattice.hnf(), saturate(lattice).hnf())
+    """True when the lattice is saturated, equal to its saturation.
+
+    That holds exactly when the maximal minors of the generators have gcd 1,
+    that is, when their columns span Z^rank, so one Hermite form of the
+    transpose decides it.
+    """
+    return mat_eq(row_hnf(transpose(lattice.vectors)), identity(lattice.rank))
 
 
 def determinant(lattice: Sublattice) -> int:
@@ -125,7 +133,7 @@ def determinant(lattice: Sublattice) -> int:
     if lattice.rank % 2 != 0:
         raise DomainError("not symplectic sublattice: odd rank")
     try:
-        divisors, _ = _alternating_reduce(lattice.gram_matrix())
+        divisors, _ = _alternating_reduce(lattice.gram_matrix(), with_change=False)
     except DomainError:
         raise DomainError("not symplectic sublattice: degenerate restriction") from None
     return prod(divisors)
@@ -155,22 +163,24 @@ def alternating_normal_form(lattice: Sublattice) -> NormalForm:
     return NormalForm(divisors, basis, change)
 
 
-def _alternating_reduce(gram):
+def _alternating_reduce(gram, with_change=True):
     """Congruence-reduce an antisymmetric integer matrix to divisor blocks.
 
-    Returns (divisors, C) with C unimodular and C*G*C^T in block form.
-    Basis bookkeeping: new_i = sum_j C[i][j] old_j.
+    Returns (divisors, C) with C unimodular and C*G*C^T in block form, or
+    (divisors, None) without with_change.  Basis bookkeeping:
+    new_i = sum_j C[i][j] old_j.
     """
     g = [list(row) for row in gram]
     r = len(g)
-    c = identity(r)
+    c = identity(r) if with_change else None
 
     def add(j, k, q):
         # basis_j += q * basis_k
         g[j] = [x + q * y for x, y in zip(g[j], g[k])]
         for i in range(r):
             g[i][j] += q * g[i][k]
-        c[j] = [x + q * y for x, y in zip(c[j], c[k])]
+        if c is not None:
+            c[j] = [x + q * y for x, y in zip(c[j], c[k])]
 
     def swap(j, k):
         if j == k:
@@ -178,13 +188,15 @@ def _alternating_reduce(gram):
         g[j], g[k] = g[k], g[j]
         for row in g:
             row[j], row[k] = row[k], row[j]
-        c[j], c[k] = c[k], c[j]
+        if c is not None:
+            c[j], c[k] = c[k], c[j]
 
     def negate(j):
         g[j] = [-x for x in g[j]]
         for row in g:
             row[j] = -row[j]
-        c[j] = [-x for x in c[j]]
+        if c is not None:
+            c[j] = [-x for x in c[j]]
 
     divisors = []
     s = 0
@@ -306,8 +318,9 @@ def extend_to_symplectic_basis(v, genus=None) -> SpMatrix:
 
     Constructive transitivity of Sp(2g, Z) on primitive vectors: a dual
     partner w with omega(v, w) = 1 comes from a Bezout combination, and the
-    orthogonal complement of the hyperbolic pair carries a unimodular
-    restriction that the alternating reduction turns into standard pairs.
+    orthogonal complement of the hyperbolic pair, which carries a unimodular
+    restriction, is split into standard pairs by _symplectic_complement.
+    Its LLL steps keep the entries near the size of v.
     """
     v = [int(x) for x in v]
     n = len(v)
@@ -321,19 +334,39 @@ def extend_to_symplectic_basis(v, genus=None) -> SpMatrix:
     j = standard_gram(g)
     cov = mat_vec(transpose(j), v)  # omega(v, x) = cov . x
     g0, w = bezout_vector(cov)
-    assert g0 == 1, "primitive vector has imprimitive pairing functional"
-    rows = [cov, mat_vec(transpose(j), w)]
-    comp = integer_kernel(rows, n)
-    cols = [v, w]
-    if comp:
-        gram = [[omega(a, b) for b in comp] for a in comp]
-        divisors, change = _alternating_reduce(gram)
-        assert all(d == 1 for d in divisors), "complement is not unimodular"
-        cols.extend(mat_mul(change, comp))
-    entries = transpose(cols)
+    if g0 != 1:
+        raise DomainError("primitive vector has imprimitive pairing functional")
+    comp = integer_kernel([cov, mat_vec(transpose(j), w)], n)
+    entries = transpose([v, w] + _symplectic_complement(comp))
     a = SpMatrix(entries)
     assert [row[0] for row in a.entries] == v
     return a
+
+
+def _symplectic_complement(rows):
+    """Rows a1, b1, a2, b2, ... with standard Gram matrix spanning the same
+    lattice as the given rows, whose Gram matrix must be unimodular.
+
+    Symplectic Gram-Schmidt: the first row a takes as partner b the
+    combination of the others that the Hermite transform of their pairing
+    column [omega(a, r)] brings to the top, so omega(a, b) = 1 and the
+    other transformed rows pair to 0 with a.  Subtracting omega(r, b) * a
+    makes them orthogonal to b as well, and an LLL reduction of what is left
+    keeps the sizes in check before the next pair.  Rows that already form
+    standard pairs in LLL-reduced order come back unchanged.
+    """
+    out = []
+    rest = [list(r) for r in rows]
+    while rest:
+        a, others = rest[0], rest[1:]
+        pivot, u = row_hnf_transform([[omega(a, r)] for r in others])
+        if not pivot or pivot[0][0] != 1:
+            raise DomainError("complement is not unimodular")
+        others = mat_mul(u, others)
+        b = others[0]
+        rest = lll_reduce([[x - omega(r, b) * y for x, y in zip(r, a)] for r in others[1:]])
+        out += [a, b]
+    return out
 
 
 def _embed_reduced(m: SpMatrix, genus: int) -> SpMatrix:

@@ -9,6 +9,7 @@ import pytest
 
 from periodforms.cli import main
 from test_intlinalg import reference_det
+from test_symplectic_lattice import CLIFF_MAP4_INPUTS
 
 LINE_INPUT = '{"genus":2,"periods":[["1","0"],["0","1"],["0","0"],["0","0"]]}'
 GENUS2_CURVE = {"kind": "hyperelliptic", "f": ["0", "-1", "0", "0", "0", "1"]}
@@ -192,6 +193,15 @@ def test_lattice_map2(capsys):
     assert code == 0
     entries = json.loads(out)["entries"]
     assert len(entries) == 4 and all(len(row) == 4 for row in entries)
+
+
+def test_lattice_map4_on_a_recorded_cliff_input(capsys):
+    source, target = CLIFF_MAP4_INPUTS[1]
+    doc = payload(source={"genus": 6, "vectors": source}, target={"genus": 6, "vectors": target})
+    code, out, err = run(capsys, "lattice", "map4", "--input", doc)
+    assert code == 0 and err == ""
+    entries = json.loads(out)["entries"]
+    assert len(entries) == 12 and all(len(row) == 12 for row in entries)
 
 
 def test_curve_classify_reports_rank_and_kernel(capsys):

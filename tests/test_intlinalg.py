@@ -2,15 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from periodforms.errors import DomainError
 from periodforms.exact import GaussianRational
 from periodforms.intlinalg import (
     bezout_vector,
+    dot,
+    identity,
     integer_kernel,
     integer_rank,
+    lll_reduce,
     mat_eq,
     mat_mul,
     rational_kernel,
@@ -225,6 +228,73 @@ def test_integer_rank_small_cases():
     # the first column is zero below the top row, so the second pivot is
     # found one column to the right
     assert integer_rank([[2, 1, 0], [0, 0, 3], [0, 0, 6]]) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_matrices())
+def test_row_hnf_is_the_transform_without_zero_rows(rows):
+    h, u = row_hnf_transform(rows)
+    assert row_hnf(rows) == [r for r in h if any(r)]
+    assert len(h) == len(u) == len(rows)
+    assert mat_mul(u, rows) == h
+    assert is_unimodular(u)
+
+
+def test_row_hnf_transform_of_nothing():
+    assert row_hnf([]) == []
+    assert row_hnf_transform([]) == ([], [])
+    assert row_hnf_transform([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], [[1, 0], [0, 1]])
+
+
+def fraction_gram_schmidt(rows):
+    """(b*, mu) of the rows over Fraction, independent of the library."""
+    stars, mu = [], []
+    for v in rows:
+        coeffs = [Fraction(dot(v, s), dot(s, s)) for s in stars]
+        star = [Fraction(x) for x in v]
+        for c, s in zip(coeffs, stars):
+            star = [x - c * y for x, y in zip(star, s)]
+        stars.append(star)
+        mu.append(coeffs)
+    return stars, mu
+
+
+@st.composite
+def independent_rows(draw):
+    n = draw(st.integers(1, 7))
+    entry = st.one_of(st.integers(-9, 9), st.integers(-(2**80), 2**80))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=n))
+    assume(integer_rank(rows) == len(rows))
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(independent_rows())
+def test_lll_reduce_is_a_reduced_basis_of_the_same_lattice(rows):
+    out = lll_reduce(rows)
+    assert row_hnf(out) == row_hnf(rows)
+    stars, mu = fraction_gram_schmidt(out)
+    assert all(abs(c) <= Fraction(1, 2) for coeffs in mu for c in coeffs)
+    for k in range(1, len(out)):
+        lovasz = (Fraction(3, 4) - mu[k][k - 1] ** 2) * dot(stars[k - 1], stars[k - 1])
+        assert dot(stars[k], stars[k]) >= lovasz
+    assert lll_reduce(out) == out
+
+
+def test_lll_reduce_leaves_reduced_input_unchanged():
+    assert lll_reduce([]) == []
+    assert lll_reduce(identity(5)) == identity(5)
+    units = [[0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, -1]]
+    assert lll_reduce(units) == units
+    assert lll_reduce([[1, 0], [0, 1000]]) == [[1, 0], [0, 1000]]
+    assert lll_reduce([[1, -2], [3, 1]]) == [[1, -2], [3, 1]]
+
+
+def test_lll_reduce_shortens_and_rejects_dependent_rows():
+    assert lll_reduce([[1, 0], [1000, 1]]) == [[1, 0], [0, 1]]
+    assert lll_reduce([[201, 37], [1648, 297]]) == [[1, 32], [40, 1]]
+    with pytest.raises(DomainError, match="independent"):
+        lll_reduce([[1, 2], [2, 4]])
 
 
 def test_bezout_vector():

@@ -1,12 +1,17 @@
 import random
+import time
 from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from periodforms.errors import DomainError
 from periodforms.intlinalg import (
+    identity,
     integer_kernel,
+    integer_rank,
     mat_eq,
     mat_mul,
     row_hnf,
@@ -16,6 +21,7 @@ from periodforms.symplectic_lattice import (
     SpMatrix,
     Sublattice,
     _embed_reduced,
+    _symplectic_complement,
     alternating_normal_form,
     determinant,
     extend_to_symplectic_basis,
@@ -361,6 +367,49 @@ def test_extend_first_column_and_symplectic():
     assert j_checked > 40
 
 
+def max_bits(rows):
+    return max(abs(x).bit_length() for row in rows for x in row)
+
+
+def test_extend_keeps_large_entries_in_bounds():
+    # size control between the standard pairs only: reducing inside the
+    # pair construction makes Euclid's steps grow rows to thousands of bits
+    rng = random.Random(256)
+    v = [rng.randrange(-(2**255), 2**255) for _ in range(16)]
+    v[0] |= 1 << 255
+    v[-1] |= 1
+    assert is_indivisible(v)
+    start = time.perf_counter()
+    a = extend_to_symplectic_basis(v, 8)
+    assert time.perf_counter() - start < 1.0
+    assert [row[0] for row in a.entries] == v
+    assert max_bits(a.entries) <= 2 * max_bits([v]) + 64
+
+
+def test_symplectic_complement_splits_into_standard_pairs():
+    rng = random.Random(12)
+    for _ in range(20):
+        g = rng.randint(1, 4)
+        u = random_sp(g, rng)
+        rows = transpose(u.entries)
+        pairs = _symplectic_complement(rows)
+        assert mat_eq(row_hnf(pairs), row_hnf(rows))
+        assert [[omega(x, y) for y in pairs] for x in pairs] == standard_gram(g)
+    # standard pairs come back unchanged
+    assert _symplectic_complement(identity(6)) == identity(6)
+
+
+def test_symplectic_complement_rejects_non_unimodular():
+    for rows in (
+        [[2, 0, 0, 0], [0, 1, 0, 0]],  # pairing 2
+        [[1, 0, 0, 0]],  # no partner
+        [[1, 0, 0, 0], [0, 0, 1, 0]],  # pairing 0
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1]],  # second pair
+    ):
+        with pytest.raises(DomainError, match="complement is not unimodular"):
+            _symplectic_complement(rows)
+
+
 def test_sp_inverse_and_compose():
     rng = random.Random(9)
     for _ in range(20):
@@ -508,6 +557,45 @@ def test_map_rank4_randomized():
         assert SpMatrix(delta.entries) == delta
 
 
+# The last genus-6 map4 inputs of two benchmark rounds (periods workload,
+# seed 1 round 56 and seed 11 round 31).  Before the complement was
+# LLL-reduced, the successive extensions multiplied the entry sizes, and
+# neither map finished within 30 s.
+CLIFF_MAP4_INPUTS = [
+    (
+        [[637, 476, -682, -700, 472, -83, 141, 720, 499, -689, 41, 642],
+         [664, 497, -712, -730, 492, -87, 147, 752, 521, -719, 43, 670],
+         [-667, -499, 715, 732, -495, 87, -146, -753, -523, 721, -44, -671],
+         [1988, 1488, -2130, -2179, 1473, -261, 433, 2244, 1560, -2148, 133, 2001]],
+        [[30, -62, 205, -234, 53, 190, 217, 231, -163, 182, -96, -147],
+         [-25, 53, -174, 199, -45, -161, -184, -196, 138, -154, 81, 125],
+         [19, -33, 125, -147, 32, 115, 131, 141, -97, 109, -55, -89],
+         [-15, 34, -106, 120, -28, -99, -112, -118, 86, -94, 51, 77]],
+    ),
+    (
+        [[135, -390, 66, -303, 129, 87, -130, 131, 181, -66, -24, -17],
+         [-120, 349, -60, 273, -115, -79, 118, -117, -161, 60, 24, 15],
+         [83, -229, 31, -163, 79, 47, -63, 75, 113, -30, -3, -10],
+         [-548, 1450, -157, 973, -516, -276, 345, -462, -745, 157, -29, 66]],
+        [[-73, -35, 3, -58, -6, -15, -46, -61, -34, 19, -14, 16],
+         [55, 27, -2, 44, 5, 12, 35, 46, 25, -14, 10, -12],
+         [-55, -26, 3, -41, -3, -12, -36, -45, -27, 14, -12, 11],
+         [-590, -284, 22, -435, -31, -120, -372, -480, -296, 164, -121, 120]],
+    ),
+]
+
+
+@pytest.mark.parametrize("source, target", CLIFF_MAP4_INPUTS)
+def test_map_rank4_recorded_cliff_inputs_stay_small(source, target):
+    u, u2 = Sublattice(source), Sublattice(target)
+    start = time.perf_counter()
+    delta = map_rank4_sublattice(u, u2)
+    assert time.perf_counter() - start < 2.0
+    assert SpMatrix(delta.entries) == delta
+    assert delta.apply_lattice(u).same_lattice(u2)
+    assert max_bits(delta.entries) < 512
+
+
 def test_map_rank4_genus2_full_lattice():
     rng = random.Random(7)
     u = random_complete_rank4(2, 1, rng)
@@ -550,6 +638,30 @@ def test_hnf_is_canonical_under_recombination():
                 b = [x + c * y for x, y in zip(b, a)]
         other = Sublattice([a, b])
         assert mat_eq(lat.hnf(), other.hnf())
+
+
+@st.composite
+def lattices_with_scaled_rows(draw):
+    """Sublattices of rank up to 2g, some rows scaled or combined, so that
+    saturated and non-saturated ones both occur."""
+    g = draw(st.integers(1, 3))
+    n = 2 * g
+    k = draw(st.integers(1, n))
+    rows = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=k, max_size=k))
+    for i in range(k):
+        rows[i] = [draw(st.sampled_from([1, 1, 2, 3, -4])) * x for x in rows[i]]
+    if k > 1 and draw(st.booleans()):
+        c = draw(st.integers(-3, 3))
+        rows[1] = [x + c * y for x, y in zip(rows[1], rows[0])]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattices_with_scaled_rows())
+def test_is_complete_agrees_with_saturation(rows):
+    assume(integer_rank(rows) == len(rows))
+    lat = Sublattice(rows)
+    assert is_complete(lat) == mat_eq(lat.hnf(), saturate(lat).hnf())
 
 
 def test_integer_kernel_is_saturated():
