@@ -88,7 +88,7 @@ def _cmd_realizable_pair(args):
     a = jsonio.decode_class(jsonio.require_field(payload, "a", "pair input"))
     b = jsonio.decode_class(jsonio.require_field(payload, "b", "pair input"))
     verdict = realizability.is_realizable_elliptic_pair(
-        a, b, assume_simple=args.assume_simple, height=args.height
+        a, b, assume_simple=args.assume_simple
     )
     return verdict.to_dict()
 
@@ -323,11 +323,10 @@ def _build_parser():
     p = sub.add_parser("line", parents=[io, tol], help="single-class decision")
     p.set_defaults(handler=_cmd_realizable_line)
     p = sub.add_parser("pair", parents=[io], help="elliptic-pair decision")
-    p.add_argument("--height", type=int, default=10, help="simplicity refuter bound")
     p.add_argument(
         "--assume-simple",
         action="store_true",
-        help="take simplicity as given instead of running the refuter",
+        help="take simplicity as given instead of reporting a splitting witness",
     )
     p.set_defaults(handler=_cmd_realizable_pair)
 

@@ -124,11 +124,6 @@ def _coerce(value) -> GaussianRational:
     raise TypeError("cannot mix GaussianRational with %r" % (value,))
 
 
-QI_ZERO = GaussianRational(0, 0)
-QI_ONE = GaussianRational(1, 0)
-QI_I = GaussianRational(0, 1)
-
-
 class QuadraticNumber:
     """A value a + b*sqrt(disc) with rational a, b and rational disc >= 0.
 

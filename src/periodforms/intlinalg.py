@@ -40,18 +40,6 @@ def mat_vec(a, v):
     return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
 
 
-def vec_add(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-
-def vec_sub(u, v):
-    return [a - b for a, b in zip(u, v)]
-
-
-def vec_scale(c, v):
-    return [c * a for a in v]
-
-
 def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 

@@ -31,6 +31,7 @@ encodes c0 + c1*x + ...
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isfinite
 
 from .covers import BranchedTorusCover, Origami, Permutation
 from .curve_algebra import Differential, HyperellipticCurve, PlaneQuartic, QuadDifferential
@@ -94,10 +95,6 @@ def decode_class(obj) -> CohomologyClass:
     return CohomologyClass(genus, periods)
 
 
-def encode_class(cls: CohomologyClass):
-    return {"genus": cls.genus, "periods": [encode_gaussian(p) for p in cls.periods]}
-
-
 def decode_float_periods(obj):
     """(genus, [complex...]) for numeric period data.
 
@@ -112,7 +109,11 @@ def decode_float_periods(obj):
         parts = []
         for part in pair:
             _expect(isinstance(part, (int, float)) and not isinstance(part, bool), "numeric period parts must be numbers, got %r" % (part,))
-            parts.append(float(part))
+            try:
+                parts.append(float(part))
+            except OverflowError:
+                raise FormatError("numeric period part has %d bits, too large for a float" % part.bit_length()) from None
+            _expect(isfinite(parts[-1]), "numeric period parts must be finite, got %r" % (part,))
         values.append(complex(parts[0], parts[1]))
     return genus, values
 
@@ -193,17 +194,6 @@ def decode_curve(obj):
             raise FormatError(str(exc)) from exc
         return PlaneQuartic(form)
     raise FormatError("curve kind must be \"hyperelliptic\" or \"quartic\", got %r" % (kind,))
-
-
-def encode_curve(curve):
-    if isinstance(curve, HyperellipticCurve):
-        return {"kind": "hyperelliptic", "f": [encode_rational(c) for c in curve.f.coeffs]}
-    return {
-        "kind": "quartic",
-        "coefficients": [
-            [i, j, k, encode_rational(c)] for (i, j, k), c in curve.form.coeffs
-        ],
-    }
 
 
 def decode_differential(curve, obj, what="differential") -> Differential:

@@ -49,11 +49,6 @@ class Polynomial:
     def is_zero(self):
         return not self.coeffs
 
-    def leading_coefficient(self):
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
-
     def coefficient(self, k):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]

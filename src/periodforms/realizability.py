@@ -10,7 +10,7 @@ Float inputs only ever get a heuristic answer and are labeled as such.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .errors import DomainError
 from .exact import GaussianRational, format_rational
@@ -108,9 +108,10 @@ class PlanarLattice:
 class RealizabilityVerdict:
     """Outcome of a realizability decision with every intermediate quantity.
 
-    realizable is True, False, or None; None means the hypotheses of the
-    decision procedure could not be certified (a splitting witness was found)
-    and the stated criterion does not apply.
+    realizable is True, False, or None.  None is the pair verdict without
+    assume_simple: an exact pair is never simple (its periods lie in Q(i),
+    so a rational symplectic plane, the witness, meets its span) and the
+    criterion, stated for simple pairs, does not apply.
     """
 
     __slots__ = (
@@ -352,91 +353,50 @@ def elliptic_pair_criterion(det, genus):
     return True, "det even and >= 2g-2", even, bound
 
 
-def _splitting_witness(a, b, lattice, height):
-    """Search for a rational symplectic plane through the span of (a, b).
+def _splitting_witness(a, b, lattice):
+    """A rational symplectic plane through the span of (a, b).
 
-    Any rational vector v in the real span U decomposes as t + conj(t) with
-    t in the complex span tau; the plane spanned by v and 2*Im t is rational
-    and meets tau, and its pairing equals twice the positive Hermitian norm
-    of t.  The search is over primitive coefficient vectors in the lattice
-    basis, ordered by height, and is deterministic.
+    Take v, the last Hermite row of the saturated real span U.  It is
+    v = 2 Re t = t + conj(t) for a unique t in the complex span tau of
+    (a, b); set w = 2 Im t = -i (t - conj(t)), again rational because the
+    periods lie in Q(i).  As omega is alternating,
+
+        omega(v, w) = 2i omega(t, conj t) = 2 h(t, t),
+
+    with h the Hermitian form of hodge_riemann_check, which the caller has
+    already found positive definite; v != 0 forces t != 0, so the pairing
+    is positive and span(v, w) is a symplectic plane whose complexification
+    contains t.  So an exact pair is never simple.  "coefficients" are
+    those of v in the basis of U.
     """
     cols = [a.re_vector(), a.im_vector(), b.re_vector(), b.im_vector()]
     n = len(cols[0])
-    system = [[2 * cols[j][r] for j in range(4)] for r in range(n)]
     # unknowns (xr, xi, yr, yi) for t = (xr + i xi) a + (yr + i yi) b,
     # with v = 2 Re t; the sign pattern below is Re of the product
-    for r in range(n):
-        system[r][1] = -system[r][1]
-        system[r][3] = -system[r][3]
-    partners = []
-    for u in lattice.vectors:
-        xr, xi, yr, yi = rational_solve(
-            system, [Fraction(x) for x in u]
-        )
-        w = [
-            2 * (xi * cols[0][r] + xr * cols[1][r] + yi * cols[2][r] + yr * cols[3][r])
-            for r in range(n)
-        ]
-        partners.append(w)
-    pair = [
-        [omega(list(u), w) for w in partners] for u in lattice.vectors
+    system = [
+        [2 * cols[0][r], -2 * cols[1][r], 2 * cols[2][r], -2 * cols[3][r]]
+        for r in range(n)
     ]
-    for c in _primitive_by_height(len(lattice.vectors), height):
-        value = Fraction(0)
-        for i, ci in enumerate(c):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(c):
-                if cj:
-                    value += ci * cj * pair[i][j]
-        if value == 0:
-            continue
-        v = [
-            sum(c[i] * lattice.vectors[i][r] for i in range(len(c)))
-            for r in range(n)
-        ]
-        w = [
-            sum((c[i] * partners[i][r] for i in range(len(c))), Fraction(0))
-            for r in range(n)
-        ]
-        plane = saturate(Sublattice(_clear_denominators([v, w])))
-        return {
-            "coefficients": list(c),
-            "vector": v,
-            "plane": [list(row) for row in plane.vectors],
-            "pairing": format_rational(value),
-        }
-    return None
-
-
-def _primitive_by_height(dim, height):
-    for h in range(1, height + 1):
-        for c in _boxed(dim, h):
-            if max(abs(x) for x in c) != h:
-                continue
-            g = 0
-            for x in c:
-                g = gcd(g, abs(x))
-            if g != 1:
-                continue
-            lead = next(x for x in c if x)
-            if lead < 0:
-                continue
-            yield c
-
-
-def _boxed(dim, h):
-    if dim == 0:
-        yield ()
-        return
-    for x in range(-h, h + 1):
-        for rest in _boxed(dim - 1, h):
-            yield (x,) + rest
+    v = list(lattice.vectors[-1])
+    xr, xi, yr, yi = rational_solve(system, [Fraction(x) for x in v])
+    w = [
+        2 * (xi * cols[0][r] + xr * cols[1][r] + yi * cols[2][r] + yr * cols[3][r])
+        for r in range(n)
+    ]
+    value = omega(v, w)
+    if value <= 0:
+        raise DomainError("splitting witness has non-positive pairing %s" % value)
+    plane = saturate(Sublattice(_clear_denominators([v, w])))
+    return {
+        "coefficients": [0, 0, 0, 1],
+        "vector": v,
+        "plane": [list(row) for row in plane.vectors],
+        "pairing": format_rational(value),
+    }
 
 
 def is_realizable_elliptic_pair(
-    a: CohomologyClass, b: CohomologyClass, assume_simple, height=10
+    a: CohomologyClass, b: CohomologyClass, assume_simple
 ) -> RealizabilityVerdict:
     if a.genus != b.genus:
         raise DomainError("classes live on surfaces of different genus")
@@ -455,18 +415,16 @@ def is_realizable_elliptic_pair(
     det = 2 * determinant(lattice)
     ok, reason, even, bound = elliptic_pair_criterion(det, genus)
     if not assume_simple:
-        witness = _splitting_witness(a, b, lattice, height)
-        if witness is not None:
-            return RealizabilityVerdict(
-                "pair",
-                genus,
-                None,
-                "criterion not applicable",
-                det=det,
-                det_even=even,
-                det_bound=bound,
-                witness=witness,
-            )
+        return RealizabilityVerdict(
+            "pair",
+            genus,
+            None,
+            "criterion not applicable",
+            det=det,
+            det_even=even,
+            det_bound=bound,
+            witness=_splitting_witness(a, b, lattice),
+        )
     return RealizabilityVerdict(
         "pair", genus, ok, reason, det=det, det_even=even, det_bound=bound
     )

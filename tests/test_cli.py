@@ -48,6 +48,16 @@ def test_line_float_periods_use_the_numeric_path(capsys):
     assert verdict["covolume"] == "1/4"
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
+def test_line_non_finite_float_periods_exit_2(capsys, literal):
+    # json.loads accepts these literals; they are malformed periods, not a
+    # failed precondition (the integer overflows a float)
+    doc = '{"genus":2,"periods":[[%s,0.0],[0.0,1.0],[0.5,0.0],[0.0,2.0]]}' % literal
+    code, out, err = run(capsys, "realizable", "line", "--input", doc)
+    assert code == 2 and out == ""
+    assert "malformed input" in err and "Traceback" not in err
+
+
 def test_pair_decision(capsys):
     doc = payload(
         a={"genus": 2, "periods": [["1", "0"], ["0", "1"], ["0", "0"], ["0", "0"]]},
@@ -58,6 +68,31 @@ def test_pair_decision(capsys):
     verdict = json.loads(out)
     assert verdict["kind"] == "pair"
     assert verdict["realizable"] is True and verdict["det"] == 2
+
+
+PAIR_WITNESS_INPUT = payload(
+    a={"genus": 3, "periods": [["1", "0"], ["0", "1"], ["0", "0"], ["0", "0"], ["0", "0"], ["0", "0"]]},
+    b={"genus": 3, "periods": [["0", "0"], ["0", "0"], ["1", "0"], ["0", "2"], ["0", "1"], ["0", "0"]]},
+)
+
+
+def test_pair_witness_bytes(capsys):
+    code, out, err = run(capsys, "realizable", "pair", "--input", PAIR_WITNESS_INPUT)
+    assert code == 0 and err == ""
+    assert out == (
+        '{"det": 4, "det_at_least_2g_minus_2": true, "det_even": true, "genus": 3, '
+        '"kind": "pair", "realizable": null, "reason": "criterion not applicable", '
+        '"witness": {"coefficients": [0, 0, 0, 1], "pairing": "2", '
+        '"plane": [[0, 0, 1, 0, 0, 0], [0, 0, 0, 2, 1, 0]], "vector": [0, 0, 0, 2, 1, 0]}}\n'
+    )
+
+
+def test_pair_height_flag_is_gone(capsys):
+    # --assume-simple replaces the old "--height 0"
+    with pytest.raises(SystemExit) as exc:
+        main(["realizable", "pair", "--height", "3", "--input", PAIR_WITNESS_INPUT])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_malformed_json_exits_2_with_position(capsys):

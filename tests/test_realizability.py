@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from periodforms.errors import DomainError
-from periodforms.exact import GaussianRational
+from periodforms.exact import GaussianRational, parse_rational
 from periodforms.intlinalg import mat_vec
 from periodforms.realizability import (
     CohomologyClass,
@@ -381,33 +381,31 @@ def test_pair_rejections():
 
 
 def test_pair_refuter_finds_rational_splitting():
+    # an exact pair is never simple: without assume_simple every pair gets
+    # the closed-form witness built on the last row of its saturated span
     rng = random.Random(71)
-    a, b = pair_with_block_determinant(3, 2, rng)
-    v = is_realizable_elliptic_pair(a, b, False)
-    assert v.realizable is None
-    assert v.reason == "criterion not applicable"
-    w = v.witness
-    assert w is not None
-    # the witness plane really is symplectic and meets the span of (a, b):
-    # its stated pairing is nonzero by construction
-    plane = Sublattice(w["plane"], genus=3)
-    assert determinant(plane) >= 1
-    # v is an integer vector of the pair's saturated real span
-    span = saturate(
-        Sublattice(
-            [
-                [int(x) for x in vec]
-                for vec in (
-                    a.re_vector(),
-                    a.im_vector(),
-                    b.re_vector(),
-                    b.im_vector(),
-                )
-            ],
-            genus=3,
+    cases = [(2, 1)] * 4 + [(g, d) for g in range(3, 8) for d in (1, 2, 3, 5, 7, 10, 13)]
+    for g, d in cases:
+        a, b = pair_with_block_determinant(g, d, rng)
+        v = is_realizable_elliptic_pair(a, b, False)
+        assert v.realizable is None
+        assert v.reason == "criterion not applicable"
+        w = v.witness
+        assert w["coefficients"] == [0, 0, 0, 1]
+        span = saturate(
+            Sublattice(
+                [
+                    [int(x) for x in vec]
+                    for vec in (a.re_vector(), a.im_vector(), b.re_vector(), b.im_vector())
+                ],
+                genus=g,
+            )
         )
-    )
-    assert span.contains(w["vector"])
+        assert w["vector"] == list(span.vectors[-1])
+        assert parse_rational(w["pairing"]) > 0
+        plane = Sublattice(w["plane"], genus=g)
+        assert determinant(plane) >= 1
+        assert all(span.contains(row) for row in w["plane"])
 
 
 def test_pair_scrambled_determinants():
