@@ -45,6 +45,9 @@ def _read_payload(args):
             "invalid JSON from %s at line %d column %d: %s"
             % (origin, exc.lineno, exc.colno, exc.msg)
         ) from exc
+    except ValueError as exc:
+        # an integer literal longer than the interpreter's digit limit
+        raise FormatError("invalid JSON from %s: %s" % (origin, exc)) from exc
 
 
 def _emit(result, fmt):
@@ -224,9 +227,7 @@ def _cmd_curve_residues(args):
         curve, jsonio.require_field(payload, "alpha", "residues input"), "alpha"
     )
     if args.numeric:
-        values = curve_algebra.residues_of_quotient(
-            omega, alpha, numeric=True, tolerance=args.tolerance
-        )
+        values = curve_algebra.residues_of_quotient(omega, alpha, numeric=True)
         total = sum(values)
         return {
             "residues": [jsonio.encode_complex(v) for v in values],
@@ -253,9 +254,7 @@ def _cmd_curve_sections(args):
         curve, jsonio.require_field(payload, "alpha", "sections input"), "alpha"
     )
     if args.numeric:
-        values = curve_algebra.section_values(
-            gamma, beta, alpha, numeric=True, tolerance=args.tolerance
-        )
+        values = curve_algebra.section_values(gamma, beta, alpha, numeric=True)
         return {"values": [jsonio.encode_complex(v) for v in values]}
     values = curve_algebra.section_values(gamma, beta, alpha)
     return {"values": [jsonio.encode_rational(v) for v in values]}
@@ -271,9 +270,7 @@ def _cmd_curve_cross_ratio(args):
         )
         for n in names
     ]
-    forms_ratio, points_ratio, matches = curve_algebra.quartic_cross_ratio(
-        curve, *lines, tolerance=args.tolerance
-    )
+    forms_ratio, points_ratio, matches = curve_algebra.quartic_cross_ratio(curve, *lines)
     return {
         "forms_cross_ratio": jsonio.encode_complex(forms_ratio),
         "points_cross_ratio": jsonio.encode_complex(points_ratio),
@@ -311,16 +308,14 @@ def _build_parser():
         metavar="FILE|-",
         help="JSON input: a path, - for stdin, or an inline literal",
     )
-    tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument(
-        "--tolerance", type=float, default=1e-9, help="numeric-path tolerance"
-    )
-
     top = parser.add_subparsers(dest="command", required=True)
 
     realizable = top.add_parser("realizable", help="realizability decisions")
     sub = realizable.add_subparsers(dest="subcommand", required=True)
-    p = sub.add_parser("line", parents=[io, tol], help="single-class decision")
+    p = sub.add_parser("line", parents=[io], help="single-class decision")
+    p.add_argument(
+        "--tolerance", type=float, default=1e-9, help="numeric-path tolerance"
+    )
     p.set_defaults(handler=_cmd_realizable_line)
     p = sub.add_parser("pair", parents=[io], help="elliptic-pair decision")
     p.add_argument(
@@ -364,12 +359,12 @@ def _build_parser():
     p.set_defaults(handler=_cmd_curve_overlap)
     p = sub.add_parser("noether", parents=[io], help="dimension of the Sym^2 image")
     p.set_defaults(handler=_cmd_curve_noether)
-    p = sub.add_parser("residues", parents=[io, tol], help="residues of omega/alpha")
+    p = sub.add_parser("residues", parents=[io], help="residues of omega/alpha")
     p.add_argument("--numeric", action="store_true", help="allow irrational zero loci")
     p.set_defaults(handler=_cmd_curve_residues)
-    p = sub.add_parser("cross-ratio", parents=[io, tol], help="quartic cross-ratio law")
+    p = sub.add_parser("cross-ratio", parents=[io], help="quartic cross-ratio law")
     p.set_defaults(handler=_cmd_curve_cross_ratio)
-    p = sub.add_parser("sections", parents=[io, tol], help="section values of gamma/beta at zeroes of alpha")
+    p = sub.add_parser("sections", parents=[io], help="section values of gamma/beta at zeroes of alpha")
     p.add_argument("--numeric", action="store_true", help="allow irrational zero loci")
     p.set_defaults(handler=_cmd_curve_sections)
 

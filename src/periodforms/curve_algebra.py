@@ -6,9 +6,11 @@ differentials split under (x, y) -> (x, -y) into an invariant part
 q(x) dx^2/y^2 with deg q <= 2g-2 and an anti-invariant part
 r(x) y dx^2/y^2 with deg r <= g-3.  On a smooth plane quartic the 1-forms
 are the linear forms of the plane and the quadratic differentials are the
-conics.  All dimension counts are exact rational linear algebra; floating
-point enters only where intersection points of a quartic with a line are
-needed, or on explicit request for curves with irrational zero loci.
+conics.  All dimension counts are exact rational linear algebra, and so is
+every verdict on degenerate input (repeated zeroes, beta vanishing at a
+zero of alpha, a constant quadruple).  Floating point only produces
+reported values: the quartic cross-ratios, and the section values and
+residues on explicit request for curves with irrational zero loci.
 """
 
 from __future__ import annotations
@@ -419,7 +421,7 @@ def noether_image_dim(curve) -> int:
     return rational_rank(rows)
 
 
-def _affine_zero_values(alpha, numeric, tolerance, simple_error):
+def _affine_zero_values(alpha, numeric, simple_error):
     """The x-values under the 2g-2 zeroes of alpha, each carrying two
     points of the curve; validates the zero locus as a side effect."""
     curve = alpha.curve
@@ -448,31 +450,34 @@ def _affine_zero_values(alpha, numeric, tolerance, simple_error):
 
 
 def section_values(gamma: Differential, beta: Differential, alpha: Differential,
-                   numeric=False, tolerance=1e-9):
+                   numeric=False):
     """Values of gamma/beta at the zeroes of alpha, in conjugate pairs.
 
     The ratio of two 1-forms on a hyperelliptic curve is a rational
     function of x alone, so the two zeroes over each x-value receive equal
     values and the output is constant on conjugate pairs by construction.
+    Whether beta vanishes at a zero of alpha is decided exactly in both
+    modes: the two polynomials share a root.
     """
     if gamma.curve != beta.curve or beta.curve != alpha.curve:
         raise DomainError("differentials must lie on one curve")
     if beta.is_zero():
         raise DomainError("zero differential")
-    xs = _affine_zero_values(alpha, numeric, tolerance,
-                             "zeroes of alpha are not distinct")
+    xs = _affine_zero_values(alpha, numeric, "zeroes of alpha are not distinct")
+    if alpha.p.gcd(beta.p).degree > 0:
+        raise DomainError("beta vanishes at a zero of alpha")
     values = []
     for x in xs:
         below = beta.p(x)
-        if (numeric and abs(below) <= tolerance) or (not numeric and below == 0):
-            raise DomainError("beta vanishes at a zero of alpha")
+        if below == 0:
+            # only a float can round to zero here; the exact value is not
+            raise DomainError("beta rounds to zero at a zero of alpha")
         v = gamma.p(x) / below
         values.extend([v, v])
     return values
 
 
-def residues_of_quotient(omega: QuadDifferential, alpha: Differential,
-                         numeric=False, tolerance=1e-9):
+def residues_of_quotient(omega: QuadDifferential, alpha: Differential, numeric=False):
     """Residues of omega/alpha at the zeroes of alpha, in conjugate pairs.
 
     At a simple zero over x with y^2 = f(x) the residue is
@@ -481,7 +486,7 @@ def residues_of_quotient(omega: QuadDifferential, alpha: Differential,
     """
     if not isinstance(omega, QuadDifferential) or omega.curve != alpha.curve:
         raise DomainError("the differentials must lie on one curve")
-    xs = _affine_zero_values(alpha, numeric, tolerance,
+    xs = _affine_zero_values(alpha, numeric,
                              "higher-order zero unsupported in residue mode")
     slope = alpha.p.derivative()
     out = []
@@ -536,28 +541,28 @@ def _cross_ratio(a, b, c, d):
     return ((a - c) * (b - d)) / ((b - c) * (a - d))
 
 
-def anharmonic_orbit(value):
-    """The six values a cross-ratio can take under relabeling."""
-    orbit = [value, 1 - value]
-    for base in (value, 1 - value):
-        if abs(base) > 0:
-            orbit.append(1 / base)
-    if abs(value) > 0:
-        orbit.append((value - 1) / value)
-    if abs(value - 1) > 0:
-        orbit.append(value / (value - 1))
-    return orbit
-
-
-def quartic_cross_ratio(quartic: PlaneQuartic, alpha_line, beta_line, gamma_line,
-                        tolerance=1e-9):
+def quartic_cross_ratio(quartic: PlaneQuartic, alpha_line, beta_line, gamma_line):
     """Cross-ratio reciprocity on a smooth plane quartic.
 
-    Intersects the alpha line with the quartic (four points, found
-    numerically), forms the quadruple gamma(z)/beta(z) of linear-form
-    ratios, and returns its cross-ratio, the cross-ratio of the four
-    points on the line, and whether the former lies in the anharmonic
-    orbit of the latter within the tolerance.
+    Returns the cross-ratio of gamma/beta at the four points where the
+    alpha line meets the quartic, the cross-ratio of those points in the
+    chart coordinate t, in the same order, and whether the two agree.
+
+    On the chart P(t) = v + t*base of the alpha line, with base off the
+    curve, the points are the roots of R(t) = F(P(t)), and beta = b0 + b1*t,
+    gamma = g0 + g1*t with b0 = beta(v), b1 = beta(base), g0 = gamma(v),
+    g1 = gamma(base).  The degenerate cases are decided exactly, in order:
+
+    - "non-simple zeroes": R is not squarefree (alpha is tangent);
+    - "beta vanishes at a zero of alpha": b0 = b1 = 0, or b1 != 0 and
+      R(-b0/b1) = 0 (b1 = 0 != b0 makes beta a nonzero constant);
+    - "degenerate quadruple": g1*b0 = g0*b1, so gamma/beta is constant.
+
+    Otherwise gamma/beta = (g1*t + g0)/(b1*t + b0) is a Moebius map with
+    nonzero determinant, defined at the four distinct roots, and Moebius
+    maps preserve cross-ratios in the same order.  So the two cross-ratios
+    are equal and ``matches`` is always True.  Floating point (numpy
+    roots) only produces the two reported values.
     """
     alpha = _as_line(quartic, alpha_line)
     beta = _as_line(quartic, beta_line)
@@ -574,35 +579,24 @@ def quartic_cross_ratio(quartic: PlaneQuartic, alpha_line, beta_line, gamma_line
     coords = tuple(Polynomial((v[i], base[i])) for i in range(3))
     restricted = quartic.form(coords)
     assert restricted.degree == 4, "restriction must stay a quartic"
+    if not restricted.is_squarefree():
+        raise DomainError("non-simple zeroes")
+    b0, b1 = beta(v), beta(base)
+    if (b0 == 0 and b1 == 0) or (b1 != 0 and restricted(-b0 / b1) == 0):
+        raise DomainError("beta vanishes at a zero of alpha")
+    g0, g1 = gamma(v), gamma(base)
+    if g1 * b0 == g0 * b1:
+        raise DomainError("degenerate quadruple")
 
     import numpy
 
     roots = numpy.roots([float(c) for c in reversed(restricted.coeffs)])
     roots = sorted((complex(z) for z in roots), key=lambda z: (z.real, z.imag))
-    scale = max(1.0, max(abs(z) for z in roots))
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if abs(roots[i] - roots[j]) <= tolerance * scale:
-                raise DomainError("non-simple zeroes")
     points = [tuple(complex(base[i]) * t + complex(v[i]) for i in range(3)) for t in roots]
-
-    quadruple = []
-    for z in points:
-        size = max(abs(c) for c in z)
-        below = beta(z)
-        if abs(below) <= tolerance * size:
-            raise DomainError("beta vanishes at a zero of alpha")
-        quadruple.append(gamma(z) / below)
-    spread = max(abs(a - b) for a in quadruple for b in quadruple)
-    if spread <= tolerance * max(1.0, max(abs(a) for a in quadruple)):
-        raise DomainError("degenerate quadruple")
-    denominator = (quadruple[1] - quadruple[2]) * (quadruple[0] - quadruple[3])
-    if abs(denominator) <= tolerance**2:
-        raise DomainError("degenerate quadruple")
-    forms_ratio = _cross_ratio(*quadruple)
-    points_ratio = _cross_ratio(*roots)
-    matches = any(
-        abs(forms_ratio - candidate) <= tolerance * (1 + abs(candidate))
-        for candidate in anharmonic_orbit(points_ratio)
-    )
-    return forms_ratio, points_ratio, matches
+    try:
+        forms_ratio = _cross_ratio(*[gamma(z) / beta(z) for z in points])
+        points_ratio = _cross_ratio(*roots)
+    except ZeroDivisionError:
+        # only rounding can make a denominator vanish once the checks pass
+        raise DomainError("the cross-ratio is not representable in floating point") from None
+    return forms_ratio, points_ratio, True

@@ -318,10 +318,15 @@ class TernaryForm:
         return TernaryForm(self.degree - 1, table)
 
     def __call__(self, point):
-        x, y, z = point
+        # one power table per coordinate, not a power per monomial
+        powers = [[c**0] for c in point]
+        for c, row in zip(point, powers):
+            for _ in range(self.degree):
+                row.append(row[-1] * c)
+        px, py, pz = powers
         acc = 0
         for (i, j, k), value in self.coeffs:
-            acc = acc + value * x**i * y**j * z**k
+            acc = acc + value * px[i] * py[j] * pz[k]
         return acc
 
     def __eq__(self, other):

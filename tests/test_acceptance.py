@@ -29,7 +29,6 @@ from periodforms.curve_algebra import (
     Differential,
     QuadDifferential,
     TauSubspace,
-    anharmonic_orbit,
     classify,
     isoperiodic_deformation_dim,
     noether_image_dim,
@@ -342,8 +341,8 @@ def test_residue_laws_in_bulk():
 
 
 def test_cross_ratio_reciprocity_in_bulk():
-    """On 100 random smooth quartics the two cross-ratios agree up to
-    relabeling within 1e-9, and stay put under the four basis moves."""
+    """On 100 random smooth quartics the two cross-ratios agree in the same
+    order within 1e-9, and stay put under the four basis moves."""
     rng = random.Random(108)
     started = time.monotonic()
     checked = 0
@@ -359,7 +358,7 @@ def test_cross_ratio_reciprocity_in_bulk():
         except DomainError:
             continue
         assert matches
-        assert min(abs(forms_ratio - v) for v in anharmonic_orbit(points_ratio)) < 1e-9
+        assert abs(forms_ratio - points_ratio) <= 1e-9 * (1 + abs(points_ratio))
         c = Fraction(rng.randint(1, 3), rng.randint(1, 2))
         al = TernaryForm.linear(*alpha)
         be = TernaryForm.linear(*beta)

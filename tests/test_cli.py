@@ -58,6 +58,23 @@ def test_line_non_finite_float_periods_exit_2(capsys, literal):
     assert "malformed input" in err and "Traceback" not in err
 
 
+def test_line_integer_literal_past_the_digit_limit_exits_2(capsys):
+    # json.loads refuses integer literals longer than 4,300 digits with a
+    # plain ValueError, not a JSONDecodeError
+    doc = '{"genus":2,"periods":[[%s,0],[0,1],[0,0],[0,0]]}' % ("1" * 5001)
+    code, out, err = run(capsys, "realizable", "line", "--input", doc)
+    assert code == 2 and out == ""
+    assert "malformed input" in err and "Traceback" not in err
+
+
+def test_line_tolerance_flag_still_applies(capsys):
+    doc = '{"genus":2,"periods":[[1.0,0.0],[0.0,1.0],[1.4142135623730951,0.0],[0.0,0.0]]}'
+    code, out, _ = run(capsys, "realizable", "line", "--input", doc)
+    assert code == 0 and json.loads(out)["reason"] == "presumed dense (heuristic)"
+    code, out, _ = run(capsys, "realizable", "line", "--tolerance", "1e-3", "--input", doc)
+    assert code == 0 and json.loads(out)["det"] == 8119
+
+
 def test_pair_decision(capsys):
     doc = payload(
         a={"genus": 2, "periods": [["1", "0"], ["0", "1"], ["0", "0"], ["0", "0"]]},
@@ -297,6 +314,22 @@ def test_curve_cross_ratio_on_coordinate_lines(capsys):
     report = json.loads(out)
     assert report["matches"] is True
     assert abs(complex(*report["forms_cross_ratio"]) - 0.5) < 1e-9
+
+
+def test_curve_cross_ratio_on_a_bitangent_exits_1(capsys):
+    doc = payload(curve=FERMAT, alpha=[1, 1, 1], beta=[1, 0, 0], gamma=[0, 1, 0])
+    code, out, err = run(capsys, "curve", "cross-ratio", "--input", doc)
+    assert code == 1 and out == ""
+    assert "non-simple zeroes" in err
+
+
+@pytest.mark.parametrize("subcommand", ["cross-ratio", "residues", "sections"])
+def test_curve_tolerance_flags_are_gone(capsys, subcommand):
+    # degeneracy on the curve layer is decided exactly
+    with pytest.raises(SystemExit) as exc:
+        main(["curve", subcommand, "--tolerance", "1e-9", "--input", "{}"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_curve_domain_errors_exit_1(capsys):

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from periodforms.curve_algebra import (
     COPRIME,
@@ -12,7 +14,6 @@ from periodforms.curve_algebra import (
     PlaneQuartic,
     QuadDifferential,
     TauSubspace,
-    anharmonic_orbit,
     classify,
     dividend_dim,
     isoperiodic_deformation_dim,
@@ -93,6 +94,9 @@ def random_differential(rng, curve, degree):
 
 
 FERMAT = PlaneQuartic({(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1})
+# x^4 + y^4 - z^4 has a hyperflex at (0:1:1): the tangent y = z meets it
+# in a quadruple point
+FLEXED = PlaneQuartic({(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): -1})
 
 
 def random_quartic(rng):
@@ -469,6 +473,29 @@ def test_section_values_numeric_mode():
     assert max(abs(n - v) for n, v in zip(values, expected)) < 1e-9
 
 
+def test_section_values_numeric_near_a_shared_zero():
+    # beta = alpha - 10^-12 shares no zero with alpha, so gamma/beta = x/(-10^-12)
+    curve = hyperelliptic([3, 4, 5, 6, 7, 8, 9, 10])
+    alpha = Differential(curve, X * X - 2)
+    beta = Differential(curve, X * X - 2 - F(1, 10**12))
+    values = section_values(Differential(curve, X), beta, alpha, numeric=True)
+    expected = [2**0.5 * 1e12] * 2 + [-(2**0.5) * 1e12] * 2
+    assert all(abs(v - e) < 1e-2 * abs(e) for v, e in zip(values, expected))
+
+
+def test_section_values_numeric_refuses_a_float_zero_of_beta():
+    import numpy
+
+    curve = hyperelliptic([3, 4, 5, 6, 7, 8, 9, 10])
+    alpha = Differential(curve, X * X - 2)
+    # the float root of alpha as an exact rational: beta shares no zero
+    # with alpha, but its float value there is 0.0
+    root = max(numpy.roots([1.0, 0.0, -2.0]))
+    beta = Differential(curve, X - F(float(root)))
+    with pytest.raises(DomainError, match="beta rounds to zero"):
+        section_values(Differential(curve, X), beta, alpha, numeric=True)
+
+
 # -------------------------------------------------------------- residues
 
 def test_residues_vanish_on_dividend_subspace():
@@ -622,20 +649,89 @@ def test_cross_ratio_errors():
         quartic_cross_ratio(FERMAT, (0, 0, 1), (1, 0, 0), (1, 0, 0))
     with pytest.raises(DomainError, match="beta vanishes at a zero of alpha"):
         quartic_cross_ratio(FERMAT, (0, 0, 1), (0, 0, 1), (0, 1, 0))
-    # x^4 + y^4 - z^4 has a hyperflex at (0:1:1): the tangent y = z meets
-    # it in a quadruple point
-    flexed = PlaneQuartic({(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): -1})
     with pytest.raises(DomainError, match="non-simple zeroes"):
-        quartic_cross_ratio(flexed, (0, 1, -1), (1, 0, 0), (0, 1, 0))
+        quartic_cross_ratio(FLEXED, (0, 1, -1), (1, 0, 0), (0, 1, 0))
     with pytest.raises(DomainError, match="zero differential"):
         quartic_cross_ratio(FERMAT, (0, 0, 0), (1, 0, 0), (0, 1, 0))
 
 
-def test_anharmonic_orbit_closure():
-    value = 0.3 + 0.4j
-    orbit = anharmonic_orbit(value)
-    assert len(orbit) == 6
-    for member in orbit:
-        sub = anharmonic_orbit(member)
-        for other in orbit:
-            assert min(abs(other - s) for s in sub) < 1e-12
+def test_fermat_bitangent_has_non_simple_zeroes():
+    # x + y + z meets the Fermat quartic in R = 2(t^2 + t + 1)^2: two
+    # double zeroes, whose float roots come out about 1e-8 apart
+    with pytest.raises(DomainError, match="non-simple zeroes"):
+        quartic_cross_ratio(FERMAT, (1, 1, 1), (1, 0, 0), (0, 1, 0))
+
+
+def _binary_quartic_plus_z4(eps):
+    """x(x - eps*y)(x^2 + y^2) + z^4, smooth for eps != 0; the line z = 0
+    meets it in four distinct points, two of them eps apart."""
+    return PlaneQuartic({(4, 0, 0): 1, (3, 1, 0): -eps, (2, 2, 0): 1,
+                         (1, 3, 0): -eps, (0, 0, 4): 1})
+
+
+def test_close_zeroes_are_still_simple():
+    quartic = _binary_quartic_plus_z4(F(1, 10**30))
+    # x vanishes at (0:1:0), one of the two close points
+    with pytest.raises(DomainError, match="beta vanishes at a zero of alpha"):
+        quartic_cross_ratio(quartic, (0, 0, 1), (1, 0, 0), (0, 1, 0))
+    forms_ratio, points_ratio, matches = quartic_cross_ratio(
+        quartic, (0, 0, 1), (1, 1, 0), (1, 0, 0))
+    assert matches
+
+
+def test_cross_ratio_beyond_float_resolution_is_refused():
+    # 10^-400 rounds to 0.0, so the numeric roots repeat although R is
+    # squarefree
+    quartic = _binary_quartic_plus_z4(F(1, 10**400))
+    with pytest.raises(DomainError, match="not representable in floating point"):
+        quartic_cross_ratio(quartic, (0, 0, 1), (0, 1, 0), (1, 0, 0))
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def sympy_cross_ratio_verdict(quartic, alpha, beta, gamma):
+    """The first degeneracy quartic_cross_ratio should report, or None.
+
+    The alpha line is charted as p + t*q with p, q cross products of alpha
+    with coordinate axes and q off the curve; then the discriminant of the
+    restriction R, its resultant with beta, and the determinant of the
+    Moebius map gamma/beta decide the three cases.
+    """
+    x, y, z, t = sympy.symbols("x y z t")
+    form = sum(sympy.Rational(c.numerator, c.denominator) * x**i * y**j * z**k
+               for (i, j, k), c in quartic.form.coeffs)
+    spans = [_cross(alpha, axis) for axis in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    p = next(s for s in spans if any(s))
+    q0 = next(s for s in spans if any(_cross(p, s)))
+    on_curve = lambda point: form.subs(dict(zip((x, y, z), point)))
+    q = next(qk for qk in ([a + k * b for a, b in zip(q0, p)] for k in range(6))
+             if on_curve(qk) != 0)
+    chart = {v: p[n] + t * q[n] for n, v in enumerate((x, y, z))}
+    restricted = sympy.Poly(form.subs(chart), t)
+    b = sympy.Poly(sum(c * v for c, v in zip(beta, (x, y, z))).subs(chart), t)
+    g = sympy.Poly(sum(c * v for c, v in zip(gamma, (x, y, z))).subs(chart), t)
+    if sympy.discriminant(restricted) == 0:
+        return "non-simple zeroes"
+    if b.is_zero or sympy.resultant(restricted, b) == 0:
+        return "beta vanishes at a zero of alpha"
+    if g.coeff_monomial(t) * b.coeff_monomial(1) == g.coeff_monomial(1) * b.coeff_monomial(t):
+        return "degenerate quadruple"
+    return None
+
+
+small_lines = st.tuples(*[st.integers(-3, 3)] * 3).filter(any)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([FERMAT, FLEXED]), small_lines, small_lines, small_lines)
+def test_cross_ratio_verdicts_match_sympy(quartic, alpha, beta, gamma):
+    expected = sympy_cross_ratio_verdict(quartic, alpha, beta, gamma)
+    try:
+        forms_ratio, points_ratio, matches = quartic_cross_ratio(quartic, alpha, beta, gamma)
+    except DomainError as exc:
+        assert str(exc) == expected
+        return
+    assert expected is None and matches
+    assert abs(forms_ratio - points_ratio) <= 1e-9 * (1 + abs(points_ratio))

@@ -294,6 +294,24 @@ def test_hodge_riemann_examples():
         hodge_riemann_check([])
 
 
+def test_hodge_riemann_positive_definite_triple():
+    # h = [[2, 0, 2], [0, 2, 0], [2, 0, 4]]: leading minors 2, 4, 8
+    a = cls(3, 1, (0, 1), 0, 0, 0, 0)
+    b = cls(3, 0, 0, 1, (0, 1), 0, 0)
+    c = cls(3, 1, (0, 1), 0, 0, 1, (0, 1))
+    assert hodge_riemann_check([a, b, c])
+
+
+def test_hodge_riemann_triple_fails_only_at_the_full_minor():
+    # h = [[2, 0, 4], [0, 2, 0], [4, 0, 6]]: every diagonal entry and the
+    # 1 x 1 and 2 x 2 leading minors (2, 4) are positive, det h = -8
+    a = cls(3, 1, (0, 1), 0, 0, 0, 0)
+    b = cls(3, 0, 0, 1, (0, 1), 0, 0)
+    c = cls(3, 2, (0, 2), 0, 0, 1, (0, -1))
+    assert hodge_riemann_check([a, b]) and hodge_riemann_check([c])
+    assert not hodge_riemann_check([a, b, c])
+
+
 def test_hodge_riemann_matches_area_for_singletons():
     rng = random.Random(67)
     for _ in range(40):
