@@ -15,11 +15,12 @@ residues on explicit request for curves with irrational zero loci.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import DomainError
 from .exact import QuadraticNumber
-from .intlinalg import rational_kernel, rational_rank
+from .intlinalg import integer_rank, rational_kernel, rational_rank
 from .polynomials import Polynomial, TernaryForm, ternary_monomials
 
 COPRIME = "coprime"
@@ -60,7 +61,13 @@ class HyperellipticCurve:
 
 
 class PlaneQuartic:
-    """A smooth quartic in the projective plane; genus three by adjunction."""
+    """A smooth quartic in the projective plane; genus three by adjunction.
+
+    Smoothness is decided exactly by Macaulay's criterion: the partials
+    have no common projective zero iff their multiples by the degree-4
+    monomials span all 36 septics, one integer rank (Macaulay 1916; Cox,
+    Little and O'Shea, "Using Algebraic Geometry", ch. 3).
+    """
 
     __slots__ = ("form", "genus")
 
@@ -92,25 +99,27 @@ class PlaneQuartic:
 
 
 def _partials_meet_only_at_origin(form):
-    # Smoothness: the three partials are homogeneous, so their common zero
-    # locus is a cone, and it is {0} iff the ideal is zero-dimensional.
-    import sympy
-
-    variables = sympy.symbols("x y z")
-    polys = []
-    for v in range(3):
-        expr = sympy.Integer(0)
-        for (i, j, k), c in form.partial(v).coeffs:
-            expr += (
-                sympy.Rational(c.numerator, c.denominator)
-                * variables[0] ** i
-                * variables[1] ** j
-                * variables[2] ** k
-            )
-        polys.append(expr)
-    if any(p == 0 for p in polys):
-        return False
-    return sympy.groebner(polys, *variables, order="grevlex").is_zero_dimensional
+    # Macaulay's criterion (Macaulay 1916; Cox, Little and O'Shea, "Using
+    # Algebraic Geometry", ch. 3): the three partials are cubics, and they
+    # have no common projective zero iff (a, b, c) -> a F_x + b F_y + c F_z
+    # maps (S_4)^3 onto S_7, because a complete intersection of three
+    # cubics has Hilbert series (1 + t + t^2)^3, zero past degree 6, while a
+    # common zero leaves every degree of the quotient nonzero.  So the 45
+    # rows (partial times degree-4 monomial) over the 36 monomials of S_7
+    # must have rank 36; a zero partial leaves at most 30 nonzero rows.
+    # By Euler's identity the common zeros are the singular points, and the
+    # rank over Q is the rank over C.
+    partials = [form.partial(v).coeffs for v in range(3)]
+    scale = math.lcm(*(c.denominator for p in partials for _, c in p))
+    column = {m: n for n, m in enumerate(ternary_monomials(7))}
+    rows = []
+    for p in partials:
+        for i, j, k in ternary_monomials(4):
+            row = [0] * len(column)
+            for (a, b, d), c in p:
+                row[column[(a + i, b + j, d + k)]] = int(c * scale)
+            rows.append(row)
+    return integer_rank(rows) == len(column)
 
 
 class Differential:
@@ -457,7 +466,8 @@ def section_values(gamma: Differential, beta: Differential, alpha: Differential,
     function of x alone, so the two zeroes over each x-value receive equal
     values and the output is constant on conjugate pairs by construction.
     Whether beta vanishes at a zero of alpha is decided exactly in both
-    modes: the two polynomials share a root.
+    modes: the two polynomials share a root.  Both modes evaluate gamma and
+    beta reduced mod alpha, which agree with them at every zero of alpha.
     """
     if gamma.curve != beta.curve or beta.curve != alpha.curve:
         raise DomainError("differentials must lie on one curve")
@@ -466,13 +476,15 @@ def section_values(gamma: Differential, beta: Differential, alpha: Differential,
     xs = _affine_zero_values(alpha, numeric, "zeroes of alpha are not distinct")
     if alpha.p.gcd(beta.p).degree > 0:
         raise DomainError("beta vanishes at a zero of alpha")
+    # at a float root, beta's terms could cancel against alpha's
+    top, bottom = gamma.p % alpha.p, beta.p % alpha.p
     values = []
     for x in xs:
-        below = beta.p(x)
+        below = bottom(x)
         if below == 0:
             # only a float can round to zero here; the exact value is not
             raise DomainError("beta rounds to zero at a zero of alpha")
-        v = gamma.p(x) / below
+        v = top(x) / below
         values.extend([v, v])
     return values
 

@@ -2,8 +2,12 @@
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -338,6 +342,47 @@ def test_curve_domain_errors_exit_1(capsys):
     code, _, err = run(capsys, "curve", "cross-ratio", "--input", doc)
     assert code == 1
     assert "singular" in err
+
+
+# Runs the curve subcommands in a fresh interpreter where importing sympy
+# fails, and reports each exit code and stream plus the sympy modules loaded.
+WITHOUT_SYMPY = r"""
+import contextlib, io, json, sys
+sys.modules["sympy"] = None
+from periodforms.cli import main
+report = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    report.append([code, out.getvalue(), err.getvalue()])
+loaded = [name for name, module in sys.modules.items()
+          if name.split(".")[0] == "sympy" and module is not None]
+print(json.dumps({"calls": report, "sympy": loaded}))
+"""
+
+
+def test_curve_commands_run_without_sympy():
+    singular = {"kind": "quartic", "coefficients": [[4, 0, 0, "1"], [0, 3, 1, "1"]]}
+    calls = [
+        ["curve", "noether", "--input", payload(curve=FERMAT)],
+        ["curve", "cross-ratio", "--input",
+         payload(curve=FERMAT, alpha=[1, 0, 0], beta=[0, 1, 0], gamma=[0, 0, 1])],
+        ["curve", "noether", "--input", payload(curve=singular)],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", WITHOUT_SYMPY, json.dumps(calls)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert "Traceback" not in done.stderr and done.returncode == 0
+    report = json.loads(done.stdout)
+    assert report["sympy"] == []
+    noether, cross, bad = report["calls"]
+    assert noether[0] == 0 and json.loads(noether[1]) == {"noether_image_dim": 6}
+    assert cross[0] == 0 and json.loads(cross[1])["matches"] is True
+    assert bad[0] == 1 and "the quartic is singular" in bad[2]
+    assert all("Traceback" not in err for _, _, err in report["calls"])
 
 
 def test_dims_gap_prints_bare_integer(capsys):
