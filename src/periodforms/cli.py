@@ -50,18 +50,28 @@ def _read_payload(args):
         raise FormatError("invalid JSON from %s: %s" % (origin, exc)) from exc
 
 
-def _emit(result, fmt):
-    if fmt == "table":
-        if isinstance(result, dict):
-            for key in sorted(result):
-                print("%s\t%s" % (key, json.dumps(result[key], sort_keys=True)))
+def _render(result, fmt):
+    """The whole output as one string, so a failure prints nothing.
+
+    An integer past the interpreter's int-to-str digit limit is refused
+    with a DomainError naming the limit; the limit itself stays in place,
+    since it guards against quadratic-time conversion.
+    """
+    try:
+        if fmt != "table":
+            lines = [json.dumps(result, sort_keys=True)]
+        elif isinstance(result, dict):
+            lines = ["%s\t%s" % (key, json.dumps(result[key], sort_keys=True)) for key in sorted(result)]
         elif isinstance(result, list):
-            for row in result:
-                print(json.dumps(row, sort_keys=True))
+            lines = [json.dumps(row, sort_keys=True) for row in result]
         else:
-            print(result)
-        return
-    print(json.dumps(result, sort_keys=True))
+            lines = [str(result)]
+    except ValueError:
+        raise DomainError(
+            "an output integer has more than %d digits, the interpreter's limit"
+            " for int-to-str conversion" % sys.get_int_max_str_digits()
+        ) from None
+    return "".join(line + "\n" for line in lines)
 
 
 def _encode_kernel(tau):
@@ -386,14 +396,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        result = args.handler(args)
+        text = _render(args.handler(args), args.format)
     except FormatError as exc:
         print("malformed input: %s" % exc, file=sys.stderr)
         return 2
     except DomainError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    _emit(result, args.format)
+    sys.stdout.write(text)
     return 0
 
 

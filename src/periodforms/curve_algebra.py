@@ -162,9 +162,6 @@ class Differential:
             return NotImplemented
         return Differential(self.curve, self.p + other.p)
 
-    def __neg__(self):
-        return Differential(self.curve, -self.p)
-
     def __sub__(self, other):
         if not isinstance(other, Differential) or other.curve != self.curve:
             return NotImplemented
@@ -183,14 +180,6 @@ class Differential:
         if not isinstance(self.curve, HyperellipticCurve):
             raise DomainError("products are only modeled on hyperelliptic curves")
         return QuadDifferential(self.curve, self.p * other.p)
-
-    def __eq__(self, other):
-        if not isinstance(other, Differential):
-            return NotImplemented
-        return self.curve == other.curve and self.p == other.p
-
-    def __hash__(self):
-        return hash((self.curve, self.p))
 
     def __repr__(self):
         return "Differential(%r, %r)" % (self.curve, self.p)
@@ -222,23 +211,6 @@ class QuadDifferential:
 
     def is_zero(self):
         return self.q.is_zero() and self.r.is_zero()
-
-    def __add__(self, other):
-        if not isinstance(other, QuadDifferential) or other.curve != self.curve:
-            return NotImplemented
-        return QuadDifferential(self.curve, self.q + other.q, self.r + other.r)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return QuadDifferential(self.curve, self.q * c, self.r * c)
-
-    def __eq__(self, other):
-        if not isinstance(other, QuadDifferential):
-            return NotImplemented
-        return (self.curve, self.q, self.r) == (other.curve, other.q, other.r)
-
-    def __hash__(self):
-        return hash((self.curve, self.q, self.r))
 
     def __repr__(self):
         return "QuadDifferential(%r, %r, %r)" % (self.curve, self.q, self.r)
@@ -430,6 +402,17 @@ def noether_image_dim(curve) -> int:
     return rational_rank(rows)
 
 
+def _numeric_roots(p):
+    """Complex roots of a rational polynomial by numpy, sorted by real then
+    imaginary part; numpy is imported only here, on first use."""
+    try:
+        import numpy
+    except ImportError:
+        raise DomainError("numeric roots need numpy") from None
+    roots = numpy.roots([float(c) for c in reversed(p.coeffs)])
+    return sorted((complex(z) for z in roots), key=lambda z: (z.real, z.imag))
+
+
 def _affine_zero_values(alpha, numeric, simple_error):
     """The x-values under the 2g-2 zeroes of alpha, each carrying two
     points of the curve; validates the zero locus as a side effect."""
@@ -447,11 +430,7 @@ def _affine_zero_values(alpha, numeric, simple_error):
     if p.gcd(curve.f).degree > 0:
         raise DomainError("alpha vanishes on the branch locus")
     if numeric:
-        import numpy
-
-        coeffs = [float(c) for c in reversed(p.coeffs)]
-        roots = sorted(numpy.roots(coeffs), key=lambda z: (z.real, z.imag))
-        return [complex(z) for z in roots]
+        return _numeric_roots(p)
     roots = p.rational_roots()
     if sum(m for _, m in roots) != p.degree:
         raise DomainError("irrational zero of alpha in exact mode")
@@ -600,10 +579,7 @@ def quartic_cross_ratio(quartic: PlaneQuartic, alpha_line, beta_line, gamma_line
     if g1 * b0 == g0 * b1:
         raise DomainError("degenerate quadruple")
 
-    import numpy
-
-    roots = numpy.roots([float(c) for c in reversed(restricted.coeffs)])
-    roots = sorted((complex(z) for z in roots), key=lambda z: (z.real, z.imag))
+    roots = _numeric_roots(restricted)
     points = [tuple(complex(base[i]) * t + complex(v[i]) for i in range(3)) for t in roots]
     try:
         forms_ratio = _cross_ratio(*[gamma(z) / beta(z) for z in points])

@@ -172,27 +172,9 @@ class QuadraticNumber:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return QuadraticNumber(-self.a, -self.b, self.disc)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QuadraticNumber(other)
-        return self + (-other)
-
     def scale(self, c) -> "QuadraticNumber":
         c = Fraction(c)
         return QuadraticNumber(self.a * c, self.b * c, self.disc)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.a == other
-        if isinstance(other, QuadraticNumber):
-            return (self.a, self.b, self.disc) == (other.a, other.b, other.disc)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.disc))
 
     def __float__(self):
         import math

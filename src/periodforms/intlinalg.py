@@ -2,10 +2,10 @@
 
 Lattices are handled as lists of generator vectors (rows).  All integer
 routines use arbitrary-precision ints: Hermite forms, with or without their
-transform, come from one core, lll_reduce is the integral LLL, the rank of
-an integer matrix comes from fraction-free elimination, and rational rank,
-kernel and solve share one Gauss-Jordan elimination over Fraction or
-GaussianRational entries.
+transform, come from one core, lll_reduce is the integral LLL, the rank and
+determinant of an integer matrix come from one fraction-free (Bareiss)
+elimination, and rational rank, kernel and solve share one Gauss-Jordan
+elimination over Fraction or GaussianRational entries.
 No floating point anywhere.
 """
 
@@ -224,11 +224,27 @@ def saturate_rows(rows, width=None):
 
 
 def integer_rank(rows):
-    """Rank of an integer matrix by Bareiss fraction-free elimination.
+    """Rank of an integer matrix by Bareiss fraction-free elimination."""
+    return _bareiss(rows)[0]
+
+
+def integer_det(rows):
+    """Determinant of a square integer matrix by Bareiss elimination."""
+    if any(len(r) != len(rows) for r in rows):
+        raise DomainError("determinant of a non-square matrix")
+    rank, pivot = _bareiss(rows)
+    return pivot if rank == len(rows) else 0
+
+
+def _bareiss(rows):
+    """Fraction-free elimination (Cohen, A Course in Computational Algebraic
+    Number Theory, 2.2): returns (rank, last pivot).
 
     After k pivots every live entry is a (k+1)-minor of the input, so the
     division by the previous pivot is exact and entry sizes stay
-    polynomial; only ints and exact // are used.
+    polynomial; only ints and exact // are used.  Each row swap negates the
+    row moved down, so the last pivot of a nonsingular square matrix is its
+    determinant, sign included.
     """
     a = list(rows)
     m = len(a)
@@ -240,7 +256,8 @@ def integer_rank(rows):
         piv = next((i for i in range(rank, m) if a[i][c]), None)
         if piv is None:
             continue
-        a[rank], a[piv] = a[piv], a[rank]
+        if piv != rank:
+            a[rank], a[piv] = a[piv], [-x for x in a[rank]]
         top = a[rank]
         p = top[c]
         for i in range(rank + 1, m):
@@ -248,7 +265,7 @@ def integer_rank(rows):
             a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
         prev = p
         rank += 1
-    return rank
+    return rank, prev
 
 
 def _gauss_jordan(rows):

@@ -9,12 +9,14 @@ vectors; the Hermite form of the generators is the canonical representative.
 
 from __future__ import annotations
 
-from math import gcd, prod
+from math import gcd, isqrt
 
 from .errors import DomainError
 from .intlinalg import (
+    _hermite,
     bezout_vector,
     identity,
+    integer_det,
     integer_kernel,
     is_zero_vec,
     lll_reduce,
@@ -24,7 +26,6 @@ from .intlinalg import (
     integer_rank,
     rational_solve,
     row_hnf,
-    row_hnf_transform,
     saturate_rows,
     transpose,
     vec_gcd,
@@ -128,15 +129,18 @@ def determinant(lattice: Sublattice) -> int:
     """Product of the divisors of the restricted form, which is |Pfaffian| of
     its Gram matrix; rank must be even and the restriction nondegenerate.
 
-    Read off the alternating normal form, so it costs polynomial time.
+    The square root of the Gram determinant, which one Bareiss elimination
+    gives in polynomial time.
     """
     if lattice.rank % 2 != 0:
         raise DomainError("not symplectic sublattice: odd rank")
-    try:
-        divisors, _ = _alternating_reduce(lattice.gram_matrix(), with_change=False)
-    except DomainError:
-        raise DomainError("not symplectic sublattice: degenerate restriction") from None
-    return prod(divisors)
+    square = integer_det(lattice.gram_matrix())
+    if square == 0:
+        raise DomainError("not symplectic sublattice: degenerate restriction")
+    root = isqrt(abs(square))
+    if root * root != square:
+        raise DomainError("Gram determinant of an alternating form is not a square")
+    return root
 
 
 class NormalForm:
@@ -152,97 +156,76 @@ def alternating_normal_form(lattice: Sublattice) -> NormalForm:
     """Adapted basis with Gram of blocks [[0, d_i], [-d_i, 0]], d_1 | d_2 | ...
 
     The product of the divisors equals the determinant.  The change matrix C
-    satisfies new_vectors = C * old_vectors (acting on generator rows).
+    satisfies new_vectors = C * old_vectors (acting on generator rows): the
+    identity rides along with the generators through _split_pair, and C is
+    read off its columns.
     """
     if lattice.rank % 2 != 0:
         raise DomainError("degenerate restriction: odd rank")
-    gram = lattice.gram_matrix()
-    divisors, change = _alternating_reduce(gram)
-    new_vectors = mat_mul(change, list(map(list, lattice.vectors)))
-    basis = Sublattice(new_vectors, genus=lattice.genus)
-    return NormalForm(divisors, basis, change)
+    n = 2 * lattice.genus
+    rest = [list(v) + e for v, e in zip(lattice.vectors, identity(lattice.rank))]
+    divisors, rows = [], []
+    while rest:
+        d, a, b, rest = _split_pair(rest, n)
+        divisors.append(d)
+        rows += [a, b]
+    # an explicit check, so it still runs under python -O
+    if any(q % p for p, q in zip(divisors, divisors[1:])):
+        raise DomainError("divisor chain broken")
+    basis = Sublattice([r[:n] for r in rows], genus=lattice.genus)
+    return NormalForm(divisors, basis, [r[n:] for r in rows])
 
 
-def _alternating_reduce(gram, with_change=True):
-    """Congruence-reduce an antisymmetric integer matrix to divisor blocks.
+def _split_pair(rows, n=None):
+    """Split one hyperbolic pair off the rows: returns (d, a, b, rest).
 
-    Returns (divisors, C) with C unimodular and C*G*C^T in block form, or
-    (divisors, None) without with_change.  Basis bookkeeping:
-    new_i = sum_j C[i][j] old_j.
+    Only the first n entries of each row are paired; later columns ride
+    along with every row operation.  d is the gcd of all pairings, and
+    omega(a, b) = d while the rest pairs to 0 with a and b, so every pairing
+    left in the rest is a multiple of d.
+
+    Let a be the first row of least content c, the gcd of its pairings.  The
+    Hermite transform of a's pairing column brings a partner b with
+    omega(a, b) = c to the top and leaves the other rows orthogonal to a;
+    subtracting (omega(r, b) // c) * a from each brings omega(r, b) into
+    [0, c).  When c = d every pairing is a multiple of c, so the rest is
+    orthogonal to the pair.  Otherwise either some omega(r, b) is a nonzero
+    remainder below c, or the rest is orthogonal to the pair and some
+    omega(r, s) is not a multiple of c, and then a + r pairs to c with b and
+    to omega(r, s) with s.  Either way a row of content below c is put back
+    and the step repeats; the least content falls strictly each time, so the
+    loop ends.
     """
-    g = [list(row) for row in gram]
-    r = len(g)
-    c = identity(r) if with_change else None
-
-    def add(j, k, q):
-        # basis_j += q * basis_k
-        g[j] = [x + q * y for x, y in zip(g[j], g[k])]
-        for i in range(r):
-            g[i][j] += q * g[i][k]
-        if c is not None:
-            c[j] = [x + q * y for x, y in zip(c[j], c[k])]
-
-    def swap(j, k):
-        if j == k:
-            return
-        g[j], g[k] = g[k], g[j]
-        for row in g:
-            row[j], row[k] = row[k], row[j]
-        if c is not None:
-            c[j], c[k] = c[k], c[j]
-
-    def negate(j):
-        g[j] = [-x for x in g[j]]
-        for row in g:
-            row[j] = -row[j]
-        if c is not None:
-            c[j] = [-x for x in c[j]]
-
-    divisors = []
-    s = 0
-    while s < r:
-        best = None
-        for i in range(s, r):
-            for j in range(s, r):
-                if g[i][j] != 0 and (
-                    best is None or abs(g[i][j]) < abs(g[best[0]][best[1]])
-                ):
-                    best = (i, j)
-        if best is None:
+    n = len(rows[0]) if n is None else n
+    while True:
+        vs = [r[:n] for r in rows]
+        jt = _j_times(transpose(vs))
+        gram = []
+        for v in vs:
+            gram += mat_mul([v], jt)
+            if vec_gcd(gram[-1]) == 1:
+                break  # no content is smaller, and then d = 1
+        contents = [vec_gcd(row) for row in gram]
+        d = vec_gcd(contents)
+        if d == 0:
             raise DomainError("degenerate restriction")
-        i, j = best
-        swap(s, i)
-        if j == s:
-            j = i
-        swap(s + 1, j)
-        if g[s][s + 1] < 0:
-            negate(s + 1)
-        p = g[s][s + 1]
-        for j2 in range(s + 2, r):
-            q = g[s][j2] // p
-            if q:
-                add(j2, s + 1, -q)
-            q = g[s + 1][j2] // p
-            if q:
-                add(j2, s, q)
-        if any(g[s][j2] or g[s + 1][j2] for j2 in range(s + 2, r)):
-            continue  # a remainder smaller than the pivot appeared
-        bad = None
-        for i2 in range(s + 2, r):
-            for j2 in range(i2 + 1, r):
-                if g[i2][j2] % p != 0:
-                    bad = i2
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            add(s, bad, 1)  # drag the offending row up, then rereduce
-            continue
-        divisors.append(p)
-        s += 2
-    for a, b in zip(divisors, divisors[1:]):
-        assert b % a == 0, "divisor chain broken"
-    return divisors, c
+        c = min(x for x in contents if x)
+        i = contents.index(c)
+        a = rows[i]
+        # the Hermite form of a's pairing column, the other rows riding along
+        col = [[x] + r for x, r in zip(gram[i][:i] + gram[i][i + 1 :], rows[:i] + rows[i + 1 :])]
+        others = [r[1:] for r in _hermite(col, 1)]
+        b = others[0]
+        rest = []
+        for r in others[1:]:
+            q = omega(r[:n], b) // c
+            rest.append([x - q * y for x, y in zip(r, a)])
+        if c == d:
+            return d, a, b, rest
+        if not any(omega(r[:n], b) for r in rest):
+            k = next(k for k, r in enumerate(rest) if any(omega(r[:n], s) % c for s in rest))
+            rest[k] = [x + y for x, y in zip(rest[k], a)]
+        rows = [a, b] + rest
 
 
 def _j_times(rows):
@@ -347,24 +330,21 @@ def _symplectic_complement(rows):
     """Rows a1, b1, a2, b2, ... with standard Gram matrix spanning the same
     lattice as the given rows, whose Gram matrix must be unimodular.
 
-    Symplectic Gram-Schmidt: the first row a takes as partner b the
-    combination of the others that the Hermite transform of their pairing
-    column [omega(a, r)] brings to the top, so omega(a, b) = 1 and the
-    other transformed rows pair to 0 with a.  Subtracting omega(r, b) * a
-    makes them orthogonal to b as well, and an LLL reduction of what is left
+    Symplectic Gram-Schmidt by _split_pair, which on unimodular input takes
+    the first row and its Hermite partner; an LLL reduction of what is left
     keeps the sizes in check before the next pair.  Rows that already form
     standard pairs in LLL-reduced order come back unchanged.
     """
     out = []
     rest = [list(r) for r in rows]
     while rest:
-        a, others = rest[0], rest[1:]
-        pivot, u = row_hnf_transform([[omega(a, r)] for r in others])
-        if not pivot or pivot[0][0] != 1:
+        try:
+            d, a, b, rest = _split_pair(rest)
+        except DomainError:
+            raise DomainError("complement is not unimodular") from None
+        if d != 1:
             raise DomainError("complement is not unimodular")
-        others = mat_mul(u, others)
-        b = others[0]
-        rest = lll_reduce([[x - omega(r, b) * y for x, y in zip(r, a)] for r in others[1:]])
+        rest = lll_reduce(rest)
         out += [a, b]
     return out
 

@@ -344,22 +344,35 @@ def test_curve_domain_errors_exit_1(capsys):
     assert "singular" in err
 
 
-# Runs the curve subcommands in a fresh interpreter where importing sympy
-# fails, and reports each exit code and stream plus the sympy modules loaded.
-WITHOUT_SYMPY = r"""
+# Runs CLI calls in a fresh interpreter where importing one module fails,
+# and reports each exit code and stream plus the modules of that name loaded.
+WITHOUT_MODULE = r"""
 import contextlib, io, json, sys
-sys.modules["sympy"] = None
+blocked = sys.argv[1]
+sys.modules[blocked] = None
 from periodforms.cli import main
 report = []
-for argv in json.loads(sys.argv[1]):
+for argv in json.loads(sys.argv[2]):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     report.append([code, out.getvalue(), err.getvalue()])
 loaded = [name for name, module in sys.modules.items()
-          if name.split(".")[0] == "sympy" and module is not None]
-print(json.dumps({"calls": report, "sympy": loaded}))
+          if name.split(".")[0] == blocked and module is not None]
+print(json.dumps({"calls": report, "loaded": loaded}))
 """
+
+
+def run_without(module, calls):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", WITHOUT_MODULE, module, json.dumps(calls)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert "Traceback" not in done.stderr and done.returncode == 0
+    report = json.loads(done.stdout)
+    assert report["loaded"] == []
+    return report
 
 
 def test_curve_commands_run_without_sympy():
@@ -370,14 +383,7 @@ def test_curve_commands_run_without_sympy():
          payload(curve=FERMAT, alpha=[1, 0, 0], beta=[0, 1, 0], gamma=[0, 0, 1])],
         ["curve", "noether", "--input", payload(curve=singular)],
     ]
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", WITHOUT_SYMPY, json.dumps(calls)],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert "Traceback" not in done.stderr and done.returncode == 0
-    report = json.loads(done.stdout)
-    assert report["sympy"] == []
+    report = run_without("sympy", calls)
     noether, cross, bad = report["calls"]
     assert noether[0] == 0 and json.loads(noether[1]) == {"noether_image_dim": 6}
     assert cross[0] == 0 and json.loads(cross[1])["matches"] is True
@@ -415,3 +421,34 @@ def test_bad_rational_string_exits_2(capsys):
     code, _, err = run(capsys, "realizable", "line", "--input", doc)
     assert code == 2
     assert "cannot parse" in err
+
+
+def test_numeric_roots_without_numpy_exit_1():
+    residues = payload(curve=GENUS2_CURVE, omega={"q": ["1"]}, alpha=["-2", "1"])
+    sections = payload(curve=GENUS2_CURVE, gamma=[0, 1], beta=[1, 0], alpha=["-2", "1"])
+    calls = [
+        ["curve", "residues", "--numeric", "--input", residues],
+        ["curve", "sections", "--numeric", "--input", sections],
+        ["curve", "cross-ratio", "--input",
+         payload(curve=FERMAT, alpha=[1, 0, 0], beta=[0, 1, 0], gamma=[0, 0, 1])],
+        ["curve", "residues", "--input", residues],
+    ]
+    report = run_without("numpy", calls)
+    *numeric, exact = report["calls"]
+    for code, out, err in numeric:
+        assert code == 1 and out == ""
+        assert err == "error: numeric roots need numpy\n"
+    assert exact[0] == 0 and json.loads(exact[1])["sum"] == "0"
+
+
+def test_output_integer_past_the_digit_limit_exits_1(capsys):
+    # the determinant 10^4400 has 4,401 digits; the input has 2,201 each
+    big = 10**2200
+    doc = payload(genus=2, vectors=[[big, 0, 0, 0], [0, big, 0, 0]])
+    for fmt in ("json", "table"):
+        code, out, err = run(capsys, "lattice", "det", "--format", fmt, "--input", doc)
+        assert code == 1 and out == ""
+        assert err == (
+            "error: an output integer has more than %d digits, the interpreter's"
+            " limit for int-to-str conversion\n" % sys.get_int_max_str_digits()
+        )

@@ -11,6 +11,7 @@ from periodforms.intlinalg import (
     bezout_vector,
     dot,
     identity,
+    integer_det,
     integer_kernel,
     integer_rank,
     lll_reduce,
@@ -228,6 +229,37 @@ def test_integer_rank_small_cases():
     # the first column is zero below the top row, so the second pivot is
     # found one column to the right
     assert integer_rank([[2, 1, 0], [0, 0, 3], [0, 0, 6]]) == 2
+
+
+@st.composite
+def square_matrices(draw):
+    """Square integer matrices, small or with entries up to 2^200, some
+    made singular by a dependent last row."""
+    n = draw(st.integers(0, 6))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(2**200), 2**200))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        rows[-1] = [2 * x - y for x, y in zip(rows[0], rows[1])]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_integer_det_matches_fraction_elimination(rows):
+    det = integer_det(rows)
+    assert det == reference_det(rows)
+    if len(rows) > 1:
+        assert integer_det([rows[1], rows[0]] + rows[2:]) == -det
+
+
+def test_integer_det_small_cases():
+    assert integer_det([]) == 1
+    assert integer_det([[0, 1], [1, 0]]) == -1
+    assert integer_det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert integer_det([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
+    assert integer_det([[2, 1, 0], [0, 0, 3], [0, 0, 6]]) == 0
+    with pytest.raises(DomainError, match="non-square"):
+        integer_det([[1, 2]])
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,12 +1,14 @@
+import json
 import random
 import time
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from periodforms.cli import main
 from periodforms.errors import DomainError
 from periodforms.intlinalg import (
     identity,
@@ -323,17 +325,93 @@ def test_normal_form_divisors_match_minor_oracle():
         # the change matrix really produces the stated basis and Gram
         got = mat_mul(nf.change, [list(v) for v in lat.vectors])
         assert mat_eq(got, [list(v) for v in nf.basis.vectors])
-        gram = nf.basis.gram_matrix()
-        for i in range(r):
-            for j in range(r):
-                expect = 0
-                if i // 2 == j // 2:
-                    if j == i + 1:
-                        expect = nf.divisors[i // 2]
-                    elif i == j + 1:
-                        expect = -nf.divisors[j // 2]
-                assert gram[i][j] == expect
+        assert nf.basis.gram_matrix() == block_gram(nf.divisors)
         assert nf.basis.same_lattice(lat)
+
+
+def block_gram(divisors):
+    """Gram matrix with blocks [[0, d], [-d, 0]] down the diagonal."""
+    r = 2 * len(divisors)
+    gram = [[0] * r for _ in range(r)]
+    for i, d in enumerate(divisors):
+        gram[2 * i][2 * i + 1] = d
+        gram[2 * i + 1][2 * i] = -d
+    return gram
+
+
+@st.composite
+def scrambled_block_sums(draw):
+    """Orthogonal sums of pairs e_i, p_i f_i, moved by a random Sp(2g, Z)
+    matrix, then permuted and combined by row operations.  Sums such as
+    (2, 3) or (6, 10, 15) start with no row whose pairings have the gcd of
+    the whole form as content, so they need the general splitting step."""
+    pairings = draw(
+        st.one_of(
+            st.sampled_from([(2, 3), (6, 10, 15), (3, 2), (4, 6), (2, 2, 3), (10, 6, 15)]),
+            st.lists(st.integers(1, 30), min_size=1, max_size=3).map(tuple),
+        )
+    )
+    g = len(pairings) + draw(st.integers(0, 1))
+    rows = []
+    for i, p in enumerate(pairings):
+        e, f = [0] * (2 * g), [0] * (2 * g)
+        e[2 * i], f[2 * i + 1] = 1, p
+        rows += [e, f]
+    if draw(st.booleans()):
+        move = random_sp(g, random.Random(draw(st.integers(0, 10**6))))
+        rows = [move.apply(v) for v in rows]
+    for _ in range(draw(st.integers(0, 6))):
+        i = draw(st.integers(0, len(rows) - 1))
+        j = (i + draw(st.integers(1, len(rows) - 1))) % len(rows)
+        c = draw(st.integers(-3, 3))
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scrambled_block_sums())
+def test_normal_form_of_scrambled_block_sums(rows):
+    lat = Sublattice(rows)
+    nf = alternating_normal_form(lat)
+    assert nf.divisors == smith_divisor_pairs(lat.gram_matrix())
+    assert all(d > 0 for d in nf.divisors)
+    assert all(q % p == 0 for p, q in zip(nf.divisors, nf.divisors[1:]))
+    assert nf.basis.gram_matrix() == block_gram(nf.divisors)
+    assert mat_mul(nf.change, [list(v) for v in rows]) == [list(v) for v in nf.basis.vectors]
+    assert abs(int_det(nf.change)) == 1
+    assert nf.basis.same_lattice(lat)
+
+
+def test_normal_form_takes_the_general_step():
+    # no generator pairs to content 1, the gcd of the form
+    rows = [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]]
+    assert [gcd(*row) for row in Sublattice(rows).gram_matrix()] == [2, 2, 3, 3]
+    nf = alternating_normal_form(Sublattice(rows))
+    assert nf.divisors == [1, 6]
+    assert nf.basis.gram_matrix() == block_gram([1, 6])
+    six = [[1, 0, 0, 0, 0, 0], [0, 6, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0],
+           [0, 0, 0, 10, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 15]]
+    assert alternating_normal_form(Sublattice(six)).divisors == [1, 30, 30]
+
+
+def test_normal_form_of_a_large_dense_input_stays_small(capsys):
+    # genus 10, rank 20, 33-bit entries: without size reduction between
+    # pairs the adapted basis grew to 28,000 bits, past the interpreter's
+    # int-to-str limit, and the CLI died in json.dumps
+    rng = random.Random(1033)
+    vectors = [[rng.randrange(-(2**32), 2**32) for _ in range(20)] for _ in range(20)]
+    lat = Sublattice(vectors)
+    start = time.perf_counter()
+    nf = alternating_normal_form(lat)
+    assert time.perf_counter() - start < 5.0
+    assert max_bits(nf.basis.vectors) < 4096 and max_bits(nf.change) < 4096
+    assert mat_mul(nf.change, vectors) == [list(v) for v in nf.basis.vectors]
+    assert nf.basis.gram_matrix() == block_gram(nf.divisors)
+    assert prod(nf.divisors) == determinant(lat)
+    code = main(["lattice", "normal-form", "--input", json.dumps({"genus": 10, "vectors": vectors})])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    assert json.loads(out)["divisors"] == nf.divisors
 
 
 def test_normal_form_degenerate_rejected():
