@@ -10,7 +10,7 @@ comes from a differential.
 
 from __future__ import annotations
 
-from .errors import DomainError
+from .errors import DomainError, check_output_size
 from .exact import GaussianRational
 from .intlinalg import row_hnf
 from .realizability import PlanarLattice
@@ -205,6 +205,7 @@ def construct_cover(g, d) -> BranchedTorusCover:
         raise DomainError("degree must be positive, got %d" % d)
     if d == 1:
         raise DomainError("no degree-1 cover of higher genus")
+    check_output_size(2 * g * d)
     a = Permutation.from_cycle(d, range(d))
     b = Permutation.identity(d)
     swap = Permutation.from_cycle(d, (0, 1))
@@ -251,8 +252,11 @@ def cover_class_invariants(c: BranchedTorusCover):
     genus = genus_of_branched_cover(c)
     lattice = period_lattice_of_cover(c)
     covol = lattice.covolume()
-    assert covol.denominator == 1, "integer lattice has integer covolume"
+    # explicit checks of the certificate, so they still run under python -O
+    if covol.denominator != 1:
+        raise DomainError("integer lattice has integer covolume")
     covol = covol.numerator
     # the developing map factors through the smaller torus, so this divides
-    assert c.degree % covol == 0, "degree %d vs covolume %d" % (c.degree, covol)
+    if c.degree % covol != 0:
+        raise DomainError("degree %d vs covolume %d" % (c.degree, covol))
     return genus, c.degree, covol, c.degree // covol

@@ -1,4 +1,7 @@
-"""Shared exception types for domain-level and input-shape failures."""
+"""Shared exception types for domain-level and input-shape failures, and
+the limit on results whose size grows with an integer argument."""
+
+OUTPUT_LIMIT = 10**6
 
 
 class DomainError(ValueError):
@@ -15,3 +18,11 @@ class FormatError(ValueError):
 
     The CLI maps this to exit code 2.
     """
+
+
+def check_output_size(count):
+    """Refuse a result of more than OUTPUT_LIMIT integers before it is built."""
+    if count > OUTPUT_LIMIT:
+        raise DomainError(
+            "the result would hold more than %d integers" % OUTPUT_LIMIT
+        )

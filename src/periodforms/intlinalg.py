@@ -2,21 +2,20 @@
 
 Lattices are handled as lists of generator vectors (rows).  All integer
 routines use arbitrary-precision ints: Hermite forms, with or without their
-transform, come from one core, lll_reduce is the integral LLL, the rank and
-determinant of an integer matrix come from one fraction-free (Bareiss)
-elimination, and rational rank, kernel and solve share one Gauss-Jordan
-elimination over Fraction or GaussianRational entries.
+transform, come from one core, lll_reduce is the integral LLL, the rank
+over Z or Q and the integer determinant come from one fraction-free
+(Bareiss) elimination, and rational kernel and solve share one
+Gauss-Jordan elimination over Fraction entries.
 No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .errors import DomainError
-from .exact import GaussianRational
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +56,14 @@ def is_zero_vec(v):
 
 def mat_eq(a, b):
     return len(a) == len(b) and all(list(r) == list(s) for r, s in zip(a, b))
+
+
+def clear_denominators(rows):
+    den = 1
+    for row in rows:
+        for x in row:
+            den = lcm(den, Fraction(x).denominator)
+    return [[int(x * den) for x in row] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +235,11 @@ def integer_rank(rows):
     return _bareiss(rows)[0]
 
 
+def rational_rank(rows):
+    """Rank of a rational matrix: one positive factor changes no rank."""
+    return integer_rank(clear_denominators(rows))
+
+
 def integer_det(rows):
     """Determinant of a square integer matrix by Bareiss elimination."""
     if any(len(r) != len(rows) for r in rows):
@@ -271,11 +283,10 @@ def _bareiss(rows):
 def _gauss_jordan(rows):
     """Reduced row echelon form over an exact field: (rows, pivot columns).
 
-    Ints and Fractions become Fraction, GaussianRational entries are kept;
-    a zero is anything falsy.  Each column's pivot is its first nonzero
+    Entries become Fractions.  Each column's pivot is its first nonzero
     entry at or below the current row.
     """
-    a = [[x if isinstance(x, GaussianRational) else Fraction(x) for x in r] for r in rows]
+    a = [[Fraction(x) for x in r] for r in rows]
     m = len(a)
     n = len(a[0]) if m else 0
     pivots = []
@@ -295,10 +306,6 @@ def _gauss_jordan(rows):
                 a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
         pivots.append(c)
     return a, pivots
-
-
-def rational_rank(rows):
-    return len(_gauss_jordan(rows)[1])
 
 
 def rational_kernel(rows, width=None):

@@ -6,8 +6,11 @@ Coefficients are Fractions throughout; nothing in here ever rounds.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
+from math import isqrt
 
 from .errors import DomainError
+from .intlinalg import clear_denominators
 
 
 def _coeffs(values):
@@ -146,34 +149,45 @@ class Polynomial:
 
         The total multiplicity may be less than the degree when some
         roots are irrational; the caller decides whether that matters.
+
+        By Hensel lifting (Loos, SIAM J. Comput. 12, 1983).  sq = self /
+        gcd(self, self') has the same roots, all simple; let c be its
+        integer multiple and a = |c_n|.  A root u/v in lowest terms has
+        v | a, so y = a u / v is an integer with |y| <= B = a + max |c_i|.
+        Take the first prime q not dividing a at which every root of c
+        mod q is simple; only primes dividing a * disc(sq) fail.  Each
+        rational root reduces to such a root, whose Newton lift mod q^(2^i)
+        is unique, so once the modulus M exceeds 2B, y is the symmetric
+        residue of a * r mod M.  Candidates are checked exactly.
         """
         if self.is_zero():
             raise DomainError("the zero polynomial has no root list")
-        p = self
-        found = {}
-        if p.coefficient(0) == 0:
+        sq = self // self.gcd(self.derivative())
+        c = clear_denominators([sq.coeffs])[0]
+        a = abs(c[-1])
+        bound = a + max(abs(x) for x in c)
+        dc = [k * x for k, x in enumerate(c)][1:]
+        for q in count(2):
+            if a % q and all(q % d for d in range(2, isqrt(q) + 1)):
+                residues = [r for r in range(q) if _eval_mod(c, r, q) == 0]
+                if all(_eval_mod(dc, r, q) for r in residues):
+                    break
+        found, p = {}, self
+        for r in residues:
+            m = q
+            while m <= 2 * bound:
+                m *= m
+                r = (r - _eval_mod(c, r, m) * pow(_eval_mod(dc, r, m), -1, m)) % m
+            y = a * r % m
+            root = Fraction(y - m if 2 * y > m else y, a)
+            if sq(root) != 0:
+                continue
             mult = 0
-            x = Polynomial.x()
-            while p.coefficient(0) == 0 and p.degree > 0:
-                p = p // x
+            factor = Polynomial((-root, 1))
+            while p(root) == 0:
+                p = p // factor
                 mult += 1
-            found[Fraction(0)] = mult
-        if p.degree > 0:
-            scale = 1
-            for c in p.coeffs:
-                scale = scale * c.denominator // _gcd_int(scale, c.denominator)
-            ints = [int(c * scale) for c in p.coeffs]
-            for num in _divisors(ints[0]):
-                for den in _divisors(ints[-1]):
-                    for cand in (Fraction(num, den), Fraction(-num, den)):
-                        if cand in found or p(cand) != 0:
-                            continue
-                        mult = 0
-                        factor = Polynomial((-cand, 1))
-                        while p(cand) == 0 and p.degree > 0:
-                            p = p // factor
-                            mult += 1
-                        found[cand] = mult
+            found[root] = mult
         return sorted(found.items())
 
     def __eq__(self, other):
@@ -198,25 +212,11 @@ def _lift(value):
     raise DomainError("cannot use %r as a polynomial" % (value,))
 
 
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a) if a else 1
-
-
-def _divisors(n):
-    n = abs(n)
-    if n == 0:
-        return [1]
-    out = []
-    k = 1
-    while k * k <= n:
-        if n % k == 0:
-            out.append(k)
-            if k != n // k:
-                out.append(n // k)
-        k += 1
-    return sorted(out)
+def _eval_mod(coeffs, x, m):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % m
+    return acc
 
 
 def ternary_monomials(degree):

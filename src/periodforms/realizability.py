@@ -12,18 +12,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .errors import DomainError
+from .errors import DomainError, check_output_size
 from .exact import GaussianRational, format_rational
+from .intlinalg import clear_denominators, integer_det, integer_rank
 from .intlinalg import rational_rank, rational_solve, row_hnf
 from .symplectic_lattice import Sublattice, determinant, omega, saturate
-
-
-def _clear_denominators(rows):
-    den = 1
-    for row in rows:
-        for x in row:
-            den = lcm(den, Fraction(x).denominator)
-    return [[int(x * den) for x in row] for row in rows]
 
 
 class CohomologyClass:
@@ -216,7 +209,7 @@ def _real_span_lattice(classes):
     for c in classes:
         rows.append(c.re_vector())
         rows.append(c.im_vector())
-    return Sublattice(_clear_denominators(rows))
+    return Sublattice(clear_denominators(rows))
 
 
 def line_determinant(c: CohomologyClass) -> int:
@@ -249,13 +242,17 @@ def is_realizable_line(c: CohomologyClass) -> RealizabilityVerdict:
     covol = group.covolume()
     det = line_determinant(c)
     identity = a == det * covol
-    assert identity, "area %s != det %d x covolume %s" % (a, det, covol)
+    # explicit checks of the certificate, so they still run under python -O
+    if not identity:
+        raise DomainError("area %s != det %d x covolume %s" % (a, det, covol))
     if a > covol:
-        assert det >= 2
+        if det < 2:
+            raise DomainError("area > covolume but det %d < 2" % det)
         return RealizabilityVerdict(
             "line", c.genus, True, "area>covolume", a, covol, det, identity
         )
-    assert det == 1
+    if det != 1:
+        raise DomainError("area <= covolume but det %d != 1" % det)
     return RealizabilityVerdict(
         "line", c.genus, False, "area<=covolume", a, covol, det, identity
     )
@@ -295,47 +292,46 @@ def line_verdict_from_floats(
     )
 
 
-def _gaussian_det(m):
-    if len(m) == 1:
-        return m[0][0]
-    if len(m) == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    assert len(m) == 3
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
 def hodge_riemann_check(taus) -> bool:
-    """Positive definiteness of h_jk = i * omega(tau_j, conj tau_k)."""
+    """Positive definiteness of h_jk = i * omega(tau_j, conj tau_k), on
+    integer rows.
+
+    Clearing the denominators of Re tau_j, Im tau_j scales h by a positive
+    factor, which changes no rank and no sign of a minor.  With the
+    cleared rows tau_j = r_j + i s_j, set p = (r, -s) and q = (s, r): the
+    rows p_a | q_a are tau_j and i tau_j as real vectors, so the classes
+    are dependent over C exactly when these 2k rows have rank below 2k.
+    For t = sum (x_j + i y_j) tau_j, Re t = sum w_a p_a and
+    Im t = sum w_a q_a with w = (x, y), so
+
+        h(t, t) = 2 omega(Re t, Im t) = w^T S w,  S_ab = omega(p_a, q_b) + omega(p_b, q_a),
+
+    and h is positive definite exactly when S is: by Sylvester's
+    criterion, when every leading principal minor of S is positive.
+    """
     taus = list(taus)
     if not 1 <= len(taus) <= 3:
         raise DomainError("expected between 1 and 3 classes, got %d" % len(taus))
     genus = taus[0].genus
     if any(t.genus != genus for t in taus):
         raise DomainError("classes live on surfaces of different genus")
-    if rational_rank([list(t.periods) for t in taus]) < len(taus):
-        raise DomainError("classes are linearly dependent")
     k = len(taus)
-    conj = [[p.conjugate() for p in t.periods] for t in taus]
-    h = [
-        [omega(list(taus[j].periods), conj[m]).times_i() for m in range(k)]
-        for j in range(k)
-    ]
-    for size in range(1, k + 1):
-        minor = _gaussian_det([row[:size] for row in h[:size]])
-        assert minor.im == 0, "hermitian minors are real"
-        if minor.re <= 0:
-            return False
-    return True
+    rows = clear_denominators([t.re_vector() for t in taus] + [t.im_vector() for t in taus])
+    r, s = rows[:k], rows[k:]
+    p, q = r + [[-x for x in v] for v in s], s + r
+    if integer_rank([u + v for u, v in zip(p, q)]) < 2 * k:
+        raise DomainError("classes are linearly dependent")
+    pq = list(zip(p, q))
+    sym = [[omega(pa, qb) + omega(pb, qa) for pb, qb in pq] for pa, qa in pq]
+    return all(integer_det([row[:m] for row in sym[:m]]) > 0 for m in range(1, 2 * k + 1))
 
 
 def isotropy_check(a: CohomologyClass, b: CohomologyClass) -> bool:
+    """omega(a, b) = 0, read off its real and imaginary parts."""
     if a.genus != b.genus:
         raise DomainError("classes live on surfaces of different genus")
-    return omega(list(a.periods), list(b.periods)).is_zero()
+    are, aim, bre, bim = a.re_vector(), a.im_vector(), b.re_vector(), b.im_vector()
+    return omega(are, bre) == omega(aim, bim) and omega(are, bim) == -omega(aim, bre)
 
 
 def elliptic_pair_criterion(det, genus):
@@ -386,7 +382,7 @@ def _splitting_witness(a, b, lattice):
     value = omega(v, w)
     if value <= 0:
         raise DomainError("splitting witness has non-positive pairing %s" % value)
-    plane = saturate(Sublattice(_clear_denominators([v, w])))
+    plane = saturate(Sublattice(clear_denominators([v, w])))
     return {
         "coefficients": [0, 0, 0, 1],
         "vector": v,
@@ -437,6 +433,7 @@ def severi_range(det):
         raise DomainError("determinant must be positive, got %d" % det)
     if det % 2 != 0:
         raise DomainError("determinant must be even, got %d" % det)
+    check_output_size(det)
     n = det // 2
     return [(g, n + 1 - g) for g in range(2, n + 2)]
 
@@ -480,14 +477,14 @@ def torus_data(taus):
         [Fraction(lattice.vectors[i][r]) for i in range(2 * k)]
         for r in range(len(taus[0].periods))
     ]
-    matrix = []
+    matrix, real_rows = [], []
     for t in taus:
         xs = rational_solve(system, t.re_vector())
         ys = rational_solve(system, t.im_vector())
         matrix.append([GaussianRational(x, y) for x, y in zip(xs, ys)])
-    stacked = [list(row) for row in matrix]
-    stacked.extend([x.conjugate() for x in row] for row in matrix)
-    if rational_rank(stacked) != 2 * k:
+        real_rows += [xs, ys]
+    # the rows of M and conj M span what Re M and Im M span
+    if rational_rank(real_rows) != 2 * k:
         raise DomainError("span of the classes meets its conjugate")
     return lattice, matrix
 

@@ -459,7 +459,8 @@ def _reduce_rank2_to_canonical(lattice: Sublattice):
 def _check_canonical(r: SpMatrix, lattice: Sublattice, d: int):
     image = r.apply_lattice(lattice)
     target = _canonical_rank2(d, lattice.genus)
-    assert image.same_lattice(target), "canonical reduction failed"
+    if not image.same_lattice(target):
+        raise DomainError("canonical reduction failed")
 
 
 def _validate_pair(u: Sublattice, u2: Sublattice, rank: int):
@@ -482,9 +483,11 @@ def map_rank2_sublattice(u: Sublattice, u2: Sublattice) -> SpMatrix:
     _validate_pair(u, u2, 2)
     r1, _ = _reduce_rank2_to_canonical(u)
     r2, _ = _reduce_rank2_to_canonical(u2)
-    # an explicit check of the result, so it still runs under python -O
+    # SpMatrix revalidates the product and the image is compared explicitly,
+    # so both checks still run under python -O
     delta = SpMatrix(r2.inverse().compose(r1).entries)
-    assert delta.apply_lattice(u).same_lattice(u2), "rank-2 mapping failed"
+    if not delta.apply_lattice(u).same_lattice(u2):
+        raise DomainError("rank-2 mapping failed")
     return delta
 
 
@@ -494,9 +497,11 @@ def map_rank4_sublattice(u: Sublattice, u2: Sublattice) -> SpMatrix:
     _validate_pair(u, u2, 4)
     r1 = _reduce_rank4_to_canonical(u)
     r2 = _reduce_rank4_to_canonical(u2)
-    # an explicit check of the result, so it still runs under python -O
+    # SpMatrix revalidates the product and the image is compared explicitly,
+    # so both checks still run under python -O
     delta = SpMatrix(r2.inverse().compose(r1).entries)
-    assert delta.apply_lattice(u).same_lattice(u2), "rank-4 mapping failed"
+    if not delta.apply_lattice(u).same_lattice(u2):
+        raise DomainError("rank-4 mapping failed")
     return delta
 
 

@@ -311,6 +311,19 @@ def test_curve_sections_exact_and_numeric(capsys):
     assert all(abs(v - 2) < 1e-9 for v in values)
 
 
+def test_curve_sections_at_a_huge_rational_zero_returns_at_once():
+    # the zero 10^20 of alpha used to be searched for by trial division
+    root = 10**20
+    doc = payload(curve=GENUS2_CURVE, gamma=[0, 1], beta=[1, 0], alpha=[str(-root), "1"])
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from periodforms.cli import main; sys.exit(main(sys.argv[1:]))",
+         "curve", "sections", "--input", doc],
+        capture_output=True, text=True, env=src_env(), timeout=5,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"values": [str(root), str(root)]}
+
+
 def test_curve_cross_ratio_on_coordinate_lines(capsys):
     doc = payload(curve=FERMAT, alpha=[1, 0, 0], beta=[0, 1, 0], gamma=[0, 0, 1])
     code, out, _ = run(capsys, "curve", "cross-ratio", "--input", doc)
@@ -363,12 +376,16 @@ print(json.dumps({"calls": report, "loaded": loaded}))
 """
 
 
-def run_without(module, calls):
+def src_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def run_without(module, calls):
     done = subprocess.run([sys.executable, "-c", WITHOUT_MODULE, module, json.dumps(calls)],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=src_env(), timeout=60)
     assert "Traceback" not in done.stderr and done.returncode == 0
     report = json.loads(done.stdout)
     assert report["loaded"] == []
@@ -404,6 +421,23 @@ def test_severi_json_and_table(capsys):
     code, out, _ = run(capsys, "severi", "--det", "6", "--format", "table")
     assert code == 0
     assert out.splitlines() == ["[2, 2]", "[3, 1]", "[4, 0]"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["severi", "--det", str(10**100)],
+        ["cover", "build", "--genus", str(10**100), "--degree", "2"],
+        ["cover", "build", "--genus", "2", "--degree", str(10**100)],
+    ],
+)
+def test_integer_arguments_past_the_output_limit_exit_1(capsys, argv):
+    # refused before anything of that size is allocated
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err == "error: the result would hold more than 1000000 integers\n"
 
 
 def test_table_format_on_dict_output(capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from periodforms import covers
 from periodforms.covers import (
     BranchedTorusCover,
     Origami,
@@ -16,7 +17,7 @@ from periodforms.covers import (
 )
 from periodforms.errors import DomainError
 from periodforms.exact import GaussianRational
-from periodforms.realizability import CohomologyClass, is_realizable_line
+from periodforms.realizability import CohomologyClass, PlanarLattice, is_realizable_line
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +263,24 @@ def test_construct_cover_errors():
         construct_cover(2, 0)
     with pytest.raises(DomainError):
         construct_cover(1, 3)
+
+
+def test_construct_cover_refuses_a_result_past_the_output_limit():
+    # 2g - 2 branch permutations plus a and b, each of degree d
+    with pytest.raises(DomainError, match="more than 1000000 integers"):
+        construct_cover(2, 250001)
+
+
+def test_cover_invariants_refuse_a_wrong_period_lattice(monkeypatch):
+    c = construct_cover(2, 4)
+    cases = [
+        ([GaussianRational(1, 0), GaussianRational(0, "1/2")], "integer covolume"),
+        ([GaussianRational(3, 0), GaussianRational(0, 1)], "degree 4 vs covolume 3"),
+    ]
+    for basis, message in cases:
+        monkeypatch.setattr(covers, "period_lattice_of_cover", lambda c, b=basis: PlanarLattice(b))
+        with pytest.raises(DomainError, match=message):
+            cover_class_invariants(c)
 
 
 def test_construct_cover_grid():

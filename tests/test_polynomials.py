@@ -1,7 +1,11 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from periodforms.errors import DomainError
 from periodforms.polynomials import Polynomial, TernaryForm, ternary_monomials
@@ -49,6 +53,55 @@ def test_rational_roots_reports_partial_list():
     # (x^2 - 2)(x - 1) only finds the rational one
     p = Polynomial([-2, 0, 1]) * Polynomial([-1, 1])
     assert p.rational_roots() == [(F(1), 1)]
+
+
+def sympy_poly(p):
+    x = sympy.Symbol("x")
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    return sympy.Poly(coeffs, x, domain="QQ")
+
+
+@st.composite
+def root_polynomials(draw):
+    """Products of linear factors, with repeats and zero roots, times
+    irreducible quadratics and cubics; coefficients up to 10^40."""
+    big = st.integers(-(10**40), 10**40)
+    entry = st.one_of(st.just(0), st.integers(-30, 30), big)
+    p = Polynomial([draw(st.one_of(st.integers(1, 5), st.integers(1, 10**40)))])
+    for _ in range(draw(st.integers(0, 4))):
+        den = draw(st.one_of(st.integers(1, 12), st.integers(1, 10**40)))
+        p = p * Polynomial([-draw(entry), den]) ** draw(st.integers(1, 3))
+    for _ in range(draw(st.integers(0, 2))):
+        factor = Polynomial(
+            [draw(entry) for _ in range(draw(st.integers(2, 3)))]
+            + [draw(st.integers(1, 10**40))]
+        )
+        assume(sympy_poly(factor).is_irreducible)
+        p = p * factor
+    return p
+
+
+@settings(max_examples=100, deadline=None)
+@given(root_polynomials())
+def test_rational_roots_match_sympy(p):
+    expected = sorted(
+        (F(int(r.p), int(r.q)), m) for r, m in sympy_poly(p).ground_roots().items()
+    )
+    assert p.rational_roots() == expected
+
+
+@pytest.mark.parametrize(
+    "p, roots",
+    [
+        (Polynomial([1, 3]) * Polynomial([-(10**40), 1]), [(F(-1, 3), 1), (F(10**40), 1)]),
+        (Polynomial([10**40 + 7, 0, 1]), []),
+    ],
+)
+def test_rational_roots_of_huge_coefficients_take_milliseconds(p, roots):
+    # trial division would need about 10^20 steps here
+    start = time.perf_counter()
+    assert p.rational_roots() == roots
+    assert time.perf_counter() - start < 0.1
 
 
 def test_squarefree():

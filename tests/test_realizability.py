@@ -1,9 +1,11 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from periodforms import realizability
 from periodforms.errors import DomainError
 from periodforms.exact import GaussianRational, parse_rational
 from periodforms.intlinalg import mat_vec
@@ -24,7 +26,7 @@ from periodforms.realizability import (
     sl2_act,
     torus_data,
 )
-from periodforms.symplectic_lattice import Sublattice, determinant, saturate
+from periodforms.symplectic_lattice import Sublattice, determinant, omega, saturate
 
 from test_symplectic_lattice import random_sp
 
@@ -184,6 +186,13 @@ def test_line_verdict_rejections():
         is_realizable_line(cls(2, 0, 0, 0, 0))
 
 
+def test_line_verdict_refuses_a_wrong_determinant(monkeypatch):
+    # area = det x covolume is certified by an explicit check, not an assert
+    monkeypatch.setattr(realizability, "line_determinant", lambda c: 2)
+    with pytest.raises(DomainError, match="area 1 != det 2 x covolume 1"):
+        is_realizable_line(cls(2, 1, (0, 1), 0, 0))
+
+
 def test_line_verdict_negative_area_not_realizable():
     v = is_realizable_line(cls(2, (0, 1), 1, 0, 0))
     assert not v.realizable and v.reason == "area<=0"
@@ -319,6 +328,109 @@ def test_hodge_riemann_matches_area_for_singletons():
         if c.is_zero():
             continue
         assert hodge_riemann_check([c]) == (area(c) > 0)
+
+
+def test_hodge_riemann_rejects_a_complex_dependence():
+    # a and i*a are independent over R: only the i*tau rows expose them
+    a = cls(2, 1, (0, 1), (2, -1), 3)
+    with pytest.raises(DomainError, match="classes are linearly dependent"):
+        hodge_riemann_check([a, a.scale(GaussianRational(0, 1))])
+
+
+def gaussian_det(m):
+    """Cofactor determinant of a square matrix of size at most 3 over Q(i)."""
+    if len(m) == 1:
+        return m[0][0]
+    if len(m) == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def gaussian_minor_check(taus):
+    """Oracle: the Hodge-Riemann check over Q(i).  The classes are
+    dependent when every k x k minor of their period matrix vanishes;
+    otherwise h is positive definite when its leading minors are."""
+    k = len(taus)
+    rows = [list(t.periods) for t in taus]
+    if all(
+        gaussian_det([[row[c] for c in cols] for row in rows]).is_zero()
+        for cols in itertools.combinations(range(len(rows[0])), k)
+    ):
+        raise DomainError("classes are linearly dependent")
+    conj = [[p.conjugate() for p in row] for row in rows]
+    h = [[omega(rows[j], conj[m]).times_i() for m in range(k)] for j in range(k)]
+    minors = [gaussian_det([row[:size] for row in h[:size]]) for size in range(1, k + 1)]
+    assert all(m.im == 0 for m in minors), "hermitian minors are real"
+    return all(m.re > 0 for m in minors)
+
+
+def riemann_classes(genus, k, rng):
+    """k classes e_j + sum_m Z_jm f_m with Z = X + iY symmetric, moved by a
+    random Sp(2g, Z) matrix; h is 2Y on them, so about half are positive.
+    Some tuples get a last class that is a real or complex combination."""
+    n = 2 * genus
+    q = lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+    z = [[None] * genus for _ in range(genus)]
+    for i in range(genus):
+        for j in range(i, genus):
+            z[i][j] = z[j][i] = GaussianRational(q(), q() + (3 if i == j else 0))
+    m = random_sp(genus, rng).entries
+    taus = []
+    for j in range(k):
+        v = [GaussianRational(0)] * n
+        for col in range(genus):
+            v[2 * col] = GaussianRational(int(col == j))
+            v[2 * col + 1] = z[j][col]
+        re = mat_vec(m, [x.re for x in v])
+        im = mat_vec(m, [x.im for x in v])
+        taus.append(CohomologyClass(genus, [GaussianRational(x, y) for x, y in zip(re, im)]))
+    if k > 1 and rng.random() < 0.3:
+        coeffs = [GaussianRational(q(), q() if rng.random() < 0.5 else 0) for _ in taus[:-1]]
+        periods = [
+            sum((c * t.periods[i] for c, t in zip(coeffs, taus[:-1])), GaussianRational())
+            for i in range(n)
+        ]
+        taus[-1] = CohomologyClass(genus, periods)
+    return taus
+
+
+def verdict_or_error(check, *args):
+    try:
+        return check(*args)
+    except DomainError as exc:
+        return str(exc)
+
+
+def test_hodge_riemann_matches_the_gaussian_minors():
+    rng = random.Random(71)
+    seen = set()
+    for _ in range(150):
+        genus = rng.randint(2, 4)
+        taus = riemann_classes(genus, rng.randint(1, min(3, genus)), rng)
+        if rng.random() < 0.3:
+            taus = [random_class(genus, rng) for _ in taus]
+        expected = verdict_or_error(gaussian_minor_check, taus)
+        assert verdict_or_error(hodge_riemann_check, taus) == expected
+        seen.add(expected)
+    assert seen == {True, False, "classes are linearly dependent"}
+
+
+def test_isotropy_matches_the_gaussian_pairing():
+    rng = random.Random(73)
+    seen = set()
+    for _ in range(100):
+        genus = rng.randint(2, 4)
+        a, b = riemann_classes(genus, 2, rng)
+        if rng.random() < 0.5:
+            b = random_class(genus, rng)
+        expected = omega(list(a.periods), list(b.periods)).is_zero()
+        assert isotropy_check(a, b) == expected
+        seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_isotropy_examples():
@@ -470,6 +582,11 @@ def test_severi_range_properties():
         assert [g for g, _ in pairs] == list(range(2, n + 2))
         assert all(delta >= 0 for _, delta in pairs)
         assert all(g + delta == n + 1 for g, delta in pairs)
+
+
+def test_severi_range_refuses_a_result_past_the_output_limit():
+    with pytest.raises(DomainError, match="more than 1000000 integers"):
+        severi_range(10**6 + 2)
 
 
 def test_dimension_gap_table():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from periodforms import symplectic_lattice
 from periodforms.cli import main
 from periodforms.errors import DomainError
 from periodforms.intlinalg import (
@@ -694,6 +695,45 @@ def test_map_rank4_scaled_form_rejected():
     u = Sublattice(vecs)
     with pytest.raises(DomainError):
         map_rank4_sublattice(u, u)
+
+
+# ---------------------------------------------------------------------------
+# certificates that must hold without asserts
+
+
+def wrong_for(lattice, reduce, wrong):
+    """reduce, except that it returns wrong on the given lattice."""
+    return lambda arg: wrong if arg is lattice else reduce(arg)
+
+
+def test_map_rank2_refuses_a_wrong_target_reduction(monkeypatch):
+    u = Sublattice([[1, 0, 0, 0], [0, 2, 1, 0]])
+    u2 = Sublattice([[1, 0, -1, 0], [0, 1, 0, -1]])
+    reduce = symplectic_lattice._reduce_rank2_to_canonical
+    monkeypatch.setattr(symplectic_lattice, "_reduce_rank2_to_canonical",
+                        wrong_for(u2, reduce, (sp_identity(2), 2)))
+    with pytest.raises(DomainError, match="rank-2 mapping failed"):
+        map_rank2_sublattice(u, u2)
+
+
+def test_map_rank4_refuses_a_wrong_target_reduction(monkeypatch):
+    rng = random.Random(202)
+    u = random_complete_rank4(3, 2, rng)
+    u2 = random_complete_rank4(3, 2, rng)
+    reduce = symplectic_lattice._reduce_rank4_to_canonical
+    monkeypatch.setattr(symplectic_lattice, "_reduce_rank4_to_canonical",
+                        wrong_for(u2, reduce, sp_identity(3)))
+    with pytest.raises(DomainError, match="rank-4 mapping failed"):
+        map_rank4_sublattice(u, u2)
+
+
+def test_canonical_reduction_is_checked(monkeypatch):
+    # the reduction lands on span(e0, 2 f0 + e1), not on this target
+    monkeypatch.setattr(symplectic_lattice, "_canonical_rank2",
+                        lambda d, genus: Sublattice([[1, 0, 0, 0], [0, d, 0, 1]]))
+    u = Sublattice([[1, 0, 0, 0], [0, 2, 1, 0]])
+    with pytest.raises(DomainError, match="canonical reduction failed"):
+        map_rank2_sublattice(u, u)
 
 
 # ---------------------------------------------------------------------------
