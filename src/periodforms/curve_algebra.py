@@ -15,12 +15,11 @@ residues on explicit request for curves with irrational zero loci.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import DomainError
 from .exact import QuadraticNumber
-from .intlinalg import integer_rank, rational_kernel, rational_rank
+from .intlinalg import clear_denominators, integer_rank, rational_kernel, rational_rank
 from .polynomials import Polynomial, TernaryForm, ternary_monomials
 
 COPRIME = "coprime"
@@ -110,14 +109,14 @@ def _partials_meet_only_at_origin(form):
     # By Euler's identity the common zeros are the singular points, and the
     # rank over Q is the rank over C.
     partials = [form.partial(v).coeffs for v in range(3)]
-    scale = math.lcm(*(c.denominator for p in partials for _, c in p))
+    values, _ = clear_denominators([[c for _, c in p] for p in partials])
     column = {m: n for n, m in enumerate(ternary_monomials(7))}
     rows = []
-    for p in partials:
+    for p, ints in zip(partials, values):
         for i, j, k in ternary_monomials(4):
             row = [0] * len(column)
-            for (a, b, d), c in p:
-                row[column[(a + i, b + j, d + k)]] = int(c * scale)
+            for ((a, b, d), _), c in zip(p, ints):
+                row[column[(a + i, b + j, d + k)]] = c
             rows.append(row)
     return integer_rank(rows) == len(column)
 
@@ -566,10 +565,13 @@ def quartic_cross_ratio(quartic: PlaneQuartic, alpha_line, beta_line, gamma_line
             base = candidate
             break
     # at most four points of the line lie on the quartic, so some shift works
-    assert base is not None, "no admissible chart on the line"
+    if base is None:
+        raise DomainError("no admissible chart on the line")
     coords = tuple(Polynomial((v[i], base[i])) for i in range(3))
     restricted = quartic.form(coords)
-    assert restricted.degree == 4, "restriction must stay a quartic"
+    # the leading coefficient is F(base) != 0
+    if restricted.degree != 4:
+        raise DomainError("restriction must stay a quartic")
     if not restricted.is_squarefree():
         raise DomainError("non-simple zeroes")
     b0, b1 = beta(v), beta(base)

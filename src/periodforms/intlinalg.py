@@ -59,11 +59,10 @@ def mat_eq(a, b):
 
 
 def clear_denominators(rows):
-    den = 1
-    for row in rows:
-        for x in row:
-            den = lcm(den, Fraction(x).denominator)
-    return [[int(x * den) for x in row] for row in rows]
+    """(int_rows, den): den > 0 is the lcm of the entries' denominators and
+    int_rows = den * rows, for rows of ints and Fractions."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +236,7 @@ def integer_rank(rows):
 
 def rational_rank(rows):
     """Rank of a rational matrix: one positive factor changes no rank."""
-    return integer_rank(clear_denominators(rows))
+    return integer_rank(clear_denominators(rows)[0])
 
 
 def integer_det(rows):
@@ -256,7 +255,8 @@ def _bareiss(rows):
     division by the previous pivot is exact and entry sizes stay
     polynomial; only ints and exact // are used.  Each row swap negates the
     row moved down, so the last pivot of a nonsingular square matrix is its
-    determinant, sign included.
+    determinant, sign included.  Below the pivot row every column up to
+    the pivot's is zero, so only the columns right of it are updated.
     """
     a = list(rows)
     m = len(a)
@@ -272,9 +272,14 @@ def _bareiss(rows):
             a[rank], a[piv] = a[piv], [-x for x in a[rank]]
         top = a[rank]
         p = top[c]
+        zeros, tail = [0] * (c + 1), top[c + 1:]
         for i in range(rank + 1, m):
-            f = a[i][c]
-            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
+            row = a[i]
+            f = row[c]
+            if f:
+                a[i] = zeros + [(p * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
+            else:
+                a[i] = zeros + [p * x // prev for x in row[c + 1:]]
         prev = p
         rank += 1
     return rank, prev

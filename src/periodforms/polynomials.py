@@ -1,35 +1,57 @@
 """Dense univariate polynomials and homogeneous ternary forms over Q.
 
-Coefficients are Fractions throughout; nothing in here ever rounds.
+A Polynomial is an integer vector over one positive denominator, kept in
+lowest terms, so its kernels run on ints: products are integer
+convolutions, division is pseudo-division over Z and gcd is the primitive
+PRS (Knuth, TAOCP vol. 2, 4.6.1).  TernaryForm keeps Fraction coefficients.
+Nothing in here ever rounds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import DomainError
-from .intlinalg import clear_denominators
-
-
-def _coeffs(values):
-    out = [Fraction(v) for v in values]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
 
 
 class Polynomial:
     """Univariate polynomial, coefficients listed from the constant term up.
 
-    The zero polynomial has degree -1 by convention.
+    Stored as num / den: integer coefficients num over a positive den with
+    gcd(den, *num) = 1, so equal polynomials have equal (num, den).  The
+    zero polynomial is ((), 1) and has degree -1 by convention.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", _coeffs(coeffs))
+        values = [Fraction(v) for v in coeffs]
+        while values and values[-1] == 0:
+            values.pop()
+        # the lcm of reduced denominators leaves no common factor
+        den = lcm(*(v.denominator for v in values))
+        num = tuple(v.numerator * (den // v.denominator) for v in values)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    @staticmethod
+    def _make(num, den):
+        """num / den in canonical form: trailing zeros trimmed, den > 0,
+        no common factor."""
+        num = list(num)
+        while num and num[-1] == 0:
+            num.pop()
+        if den < 0:
+            num, den = [-c for c in num], -den
+        g = gcd(den, *num)  # den itself when num is empty
+        if g != 1:
+            num, den = [c // g for c in num], den // g
+        p = object.__new__(Polynomial)
+        object.__setattr__(p, "num", tuple(num))
+        object.__setattr__(p, "den", den)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -46,28 +68,38 @@ class Polynomial:
         return p
 
     @property
+    def coeffs(self):
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.num
 
     def coefficient(self, k):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.num):
+            return Fraction(self.num[k], self.den)
         return Fraction(0)
 
     def __add__(self, other):
         other = _lift(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            [self.coefficient(k) + other.coefficient(k) for k in range(n)]
-        )
+        a, b = self.num, other.num
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        if len(a) < len(b):
+            a, b, sa, sb = b, a, sb, sa
+        out = [sa * x for x in a]
+        for k, y in enumerate(b):
+            out[k] += sb * y
+        return Polynomial._make(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial([-c for c in self.coeffs])
+        return Polynomial._make([-c for c in self.num], self.den)
 
     def __sub__(self, other):
         return self + (-_lift(other))
@@ -77,13 +109,15 @@ class Polynomial:
 
     def __mul__(self, other):
         other = _lift(other)
-        if self.is_zero() or other.is_zero():
+        a, b = self.num, other.num
+        if not a or not b:
             return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return Polynomial._make(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -97,19 +131,14 @@ class Polynomial:
         return out
 
     def __divmod__(self, other):
+        # lead^k A = Q B + R over the numerators, k = deg A - deg B + 1
         other = _lift(other)
         if other.is_zero():
             raise DomainError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        den = other.coeffs
-        quo = [Fraction(0)] * max(0, len(rem) - len(den) + 1)
-        for k in range(len(rem) - len(den), -1, -1):
-            c = rem[k + len(den) - 1] / den[-1]
-            quo[k] = c
-            if c:
-                for j, b in enumerate(den):
-                    rem[k + j] -= c * b
-        return Polynomial(quo), Polynomial(rem)
+        q, r, k = _pseudo_divmod(self.num, other.num)
+        scale = self.den * other.num[-1] ** k
+        quotient = Polynomial._make([c * other.den for c in q], scale)
+        return quotient, Polynomial._make(r, scale)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -120,17 +149,17 @@ class Polynomial:
     def monic(self):
         if self.is_zero():
             return self
-        lead = self.coeffs[-1]
-        return Polynomial([c / lead for c in self.coeffs])
+        return Polynomial._make(self.num, self.num[-1])
 
     def gcd(self, other):
-        a, b = self, _lift(other)
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        # primitive PRS: only integer pseudo-remainders, content removed
+        a, b = _primitive(self.num), _primitive(_lift(other).num)
+        while b:
+            a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+        return Polynomial._make(a, a[-1] if a else 1)
 
     def derivative(self):
-        return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
+        return Polynomial._make([k * c for k, c in enumerate(self.num)][1:], self.den)
 
     def is_squarefree(self):
         if self.is_zero():
@@ -138,9 +167,21 @@ class Polynomial:
         return self.gcd(self.derivative()).degree == 0
 
     def __call__(self, x):
-        # Horner; works for Fractions, floats and complex alike.
-        acc = self.coeffs[-1] if self.coeffs else Fraction(0)
-        for c in reversed(self.coeffs[:-1]):
+        num = self.num
+        if not num:
+            return Fraction(0)
+        if isinstance(x, (int, Fraction)):
+            # homogeneous Horner over Z: sum c_i u^i v^(n-i), over den v^n
+            u, v = x.numerator, x.denominator
+            acc, power = num[-1], 1
+            for c in reversed(num[:-1]):
+                power *= v
+                acc = acc * u + c * power
+            return Fraction(acc, self.den * power)
+        # Horner over the Fraction coefficients, for floats and complex
+        coeffs = self.coeffs
+        acc = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
             acc = acc * x + c
         return acc
 
@@ -152,7 +193,7 @@ class Polynomial:
 
         By Hensel lifting (Loos, SIAM J. Comput. 12, 1983).  sq = self /
         gcd(self, self') has the same roots, all simple; let c be its
-        integer multiple and a = |c_n|.  A root u/v in lowest terms has
+        numerator vector and a = |c_n|.  A root u/v in lowest terms has
         v | a, so y = a u / v is an integer with |y| <= B = a + max |c_i|.
         Take the first prime q not dividing a at which every root of c
         mod q is simple; only primes dividing a * disc(sq) fail.  Each
@@ -163,7 +204,7 @@ class Polynomial:
         if self.is_zero():
             raise DomainError("the zero polynomial has no root list")
         sq = self // self.gcd(self.derivative())
-        c = clear_denominators([sq.coeffs])[0]
+        c = sq.num
         a = abs(c[-1])
         bound = a + max(abs(x) for x in c)
         dc = [k * x for k, x in enumerate(c)][1:]
@@ -195,10 +236,10 @@ class Polynomial:
             other = _lift(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __repr__(self):
         return "Polynomial(%s)" % (list(self.coeffs),)
@@ -208,8 +249,39 @@ def _lift(value):
     if isinstance(value, Polynomial):
         return value
     if isinstance(value, (int, Fraction)):
-        return Polynomial((value,))
+        return Polynomial._make((value.numerator,), value.denominator)
     raise DomainError("cannot use %r as a polynomial" % (value,))
+
+
+def _primitive(num):
+    """num without trailing zeros, divided by its content, made
+    positive-leading; the zero vector gives []."""
+    num = list(num)
+    while num and num[-1] == 0:
+        num.pop()
+    if not num:
+        return num
+    g = gcd(*num)
+    if num[-1] < 0:
+        g = -g
+    return [c // g for c in num]
+
+
+def _pseudo_divmod(a, b):
+    """(q, r, k) with lead(b)^k a = q b + r over Z, deg r < deg b and
+    k = max(0, deg a - deg b + 1), for integer vectors a and b != 0
+    (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R).  r may keep zeros on top."""
+    n = len(b) - 1
+    lead = b[-1]
+    k = max(0, len(a) - n)
+    q, r = [0] * k, list(a)
+    power = lead ** k
+    for j in range(k - 1, -1, -1):
+        power //= lead
+        c = r[n + j]
+        q[j] = c * power
+        r = [lead * x for x in r[:j]] + [lead * x - c * y for x, y in zip(r[j:n + j], b)]
+    return q, r[:n], k
 
 
 def _eval_mod(coeffs, x, m):

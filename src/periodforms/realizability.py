@@ -10,7 +10,6 @@ Float inputs only ever get a heuristic answer and are labeled as such.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .errors import DomainError, check_output_size
 from .exact import GaussianRational, format_rational
@@ -189,10 +188,7 @@ def period_group(c: CohomologyClass) -> PlanarLattice:
     rows = [[p.re, p.im] for p in c.periods if not p.is_zero()]
     if not rows:
         return PlanarLattice([])
-    den = 1
-    for row in rows:
-        den = lcm(den, row[0].denominator, row[1].denominator)
-    ints = [[int(x * den) for x in row] for row in rows]
+    ints, den = clear_denominators(rows)
     basis = [
         GaussianRational(Fraction(row[0], den), Fraction(row[1], den))
         for row in row_hnf(ints)
@@ -209,7 +205,7 @@ def _real_span_lattice(classes):
     for c in classes:
         rows.append(c.re_vector())
         rows.append(c.im_vector())
-    return Sublattice(clear_denominators(rows))
+    return Sublattice(clear_denominators(rows)[0])
 
 
 def line_determinant(c: CohomologyClass) -> int:
@@ -316,7 +312,7 @@ def hodge_riemann_check(taus) -> bool:
     if any(t.genus != genus for t in taus):
         raise DomainError("classes live on surfaces of different genus")
     k = len(taus)
-    rows = clear_denominators([t.re_vector() for t in taus] + [t.im_vector() for t in taus])
+    rows, _ = clear_denominators([t.re_vector() for t in taus] + [t.im_vector() for t in taus])
     r, s = rows[:k], rows[k:]
     p, q = r + [[-x for x in v] for v in s], s + r
     if integer_rank([u + v for u, v in zip(p, q)]) < 2 * k:
@@ -382,7 +378,7 @@ def _splitting_witness(a, b, lattice):
     value = omega(v, w)
     if value <= 0:
         raise DomainError("splitting witness has non-positive pairing %s" % value)
-    plane = saturate(Sublattice(clear_denominators([v, w])))
+    plane = saturate(Sublattice(clear_denominators([v, w])[0]))
     return {
         "coefficients": [0, 0, 0, 1],
         "vector": v,

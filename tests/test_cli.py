@@ -324,6 +324,26 @@ def test_curve_sections_at_a_huge_rational_zero_returns_at_once():
     assert json.loads(done.stdout) == {"values": [str(root), str(root)]}
 
 
+def test_curve_overlap_at_genus_41_finishes():
+    # Euclid over Q on the degree-84 f (squarefree check) and the
+    # degree-40/39 differentials ran past 30 s; the primitive PRS does not
+    rng = random.Random(41)
+    f = [str(rng.randint(-9, 9)) for _ in range(84)] + ["1"]
+
+    def rational(n):
+        return ["%d/%d" % (rng.randint(-999, 999), rng.randint(1, 999)) for _ in range(n)]
+
+    doc = payload(curve={"kind": "hyperelliptic", "f": f}, alpha=rational(41), beta=rational(40))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from periodforms.cli import main; sys.exit(main(sys.argv[1:]))",
+         "curve", "overlap", "--input", doc],
+        capture_output=True, text=True, env=src_env(), timeout=10,
+    )
+    assert done.returncode == 0, done.stderr
+    # coprime differentials of the top degree g - 1 share no zero
+    assert json.loads(done.stdout) == {"overlap_degree": 0}
+
+
 def test_curve_cross_ratio_on_coordinate_lines(capsys):
     doc = payload(curve=FERMAT, alpha=[1, 0, 0], beta=[0, 1, 0], gamma=[0, 0, 1])
     code, out, _ = run(capsys, "curve", "cross-ratio", "--input", doc)

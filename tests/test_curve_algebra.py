@@ -6,6 +6,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from periodforms import curve_algebra
 from periodforms.curve_algebra import (
     COPRIME,
     LINKED,
@@ -681,6 +682,20 @@ def test_fermat_cross_ratio_is_harmonic():
     harmonic = (2 + 0j, -1 + 0j, 0.5 + 0j)
     assert min(abs(points_ratio - h) for h in harmonic) < 1e-9
     assert min(abs(forms_ratio - h) for h in harmonic) < 1e-9
+
+
+def test_cross_ratio_refuses_a_line_without_a_chart(monkeypatch):
+    # explicit checks, not asserts: a wrong line basis puts every shift on
+    # the curve, and a chart without its t term restricts to a constant
+    monkeypatch.setattr(curve_algebra, "_line_basis", lambda line: [(F(0),) * 3] * 2)
+    with pytest.raises(DomainError, match="no admissible chart on the line"):
+        quartic_cross_ratio(FERMAT, (0, 0, 1), (1, 0, 0), (0, 1, 0))
+
+
+def test_cross_ratio_refuses_a_restriction_of_lower_degree(monkeypatch):
+    monkeypatch.setattr(curve_algebra, "Polynomial", lambda coeffs: Polynomial(coeffs[:1]))
+    with pytest.raises(DomainError, match="restriction must stay a quartic"):
+        quartic_cross_ratio(FERMAT, (0, 0, 1), (1, 0, 0), (0, 1, 0))
 
 
 def test_cross_ratio_invariant_under_proof_moves():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from periodforms.errors import DomainError
 from periodforms.intlinalg import (
     bezout_vector,
+    clear_denominators,
     dot,
     identity,
     integer_det,
@@ -203,6 +205,13 @@ def test_integer_rank_matches_rational_rank(rows, den):
     assert rational_rank(scaled) == oracle
 
 
+def test_clear_denominators_returns_its_factor():
+    rows = [[Fraction(1, 2), 3], [Fraction(-2, 3), 0]]
+    assert clear_denominators(rows) == ([[3, 18], [-4, 0]], 6)
+    assert clear_denominators([[1, -2]]) == ([[1, -2]], 1)
+    assert clear_denominators([]) == ([], 1)
+
+
 def test_integer_rank_small_cases():
     assert integer_rank([]) == rational_rank([]) == 0
     assert integer_rank([[0, 0, 0]]) == 0
@@ -232,6 +241,48 @@ def test_integer_det_matches_fraction_elimination(rows):
     assert det == reference_det(rows)
     if len(rows) > 1:
         assert integer_det([rows[1], rows[0]] + rows[2:]) == -det
+
+
+def leibniz_det(rows):
+    """Determinant as the signed sum over permutations."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Mostly-zero integer matrices, square or not: zeroed columns, and a
+    zero top-left entry over a nonzero one below, so the first pivot needs
+    a row swap; entries small or up to 2^100."""
+    m = draw(st.integers(1, 6))
+    n = m if draw(st.booleans()) else draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-3, 3), st.integers(-(2**100), 2**100))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    for c in draw(st.sets(st.integers(0, n - 1), max_size=n - 1)):
+        for row in rows:
+            row[c] = 0
+    if m > 1 and draw(st.booleans()):
+        rows[0][0] = 0
+        rows[draw(st.integers(1, m - 1))][0] = draw(st.integers(1, 5))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices())
+def test_bareiss_on_sparse_matrices(rows):
+    n = len(rows[0])
+    assert integer_rank(rows) == n - len(rational_kernel(rows, n))
+    if len(rows) == n:
+        assert integer_det(rows) == reference_det(rows)
+        if n <= 5:
+            assert integer_det(rows) == leibniz_det(rows)
 
 
 def test_integer_det_small_cases():

@@ -134,6 +134,160 @@ def test_call_accepts_rational_float_complex():
     assert abs(p(2.0) - 5.0) < 1e-12
 
 
+def test_call_at_an_int_returns_a_fraction():
+    for p in (Polynomial([F(1, 2), 3]), Polynomial([7]), Polynomial()):
+        assert type(p(3)) is F and type(p(F(3, 5))) is F
+    assert Polynomial([F(1, 2), 3])(3) == F(19, 2)
+
+
+def test_representation_is_canonical():
+    a, b = Polynomial([F(2, 4), 1]), Polynomial([F(1, 2), 1])
+    assert a == b and hash(a) == hash(b)
+    assert (a.num, a.den) == ((1, 2), 2)
+    assert Polynomial([F(1, 2), F(1, 3)]).num == (3, 2)
+    assert Polynomial([F(1, 2), F(1, 3)]).den == 6
+    # results of arithmetic come out reduced too
+    assert (a * 2 - Polynomial([1, 2])).num == ()
+    assert (a * 2 - Polynomial([1, 2])).den == 1
+    assert Polynomial([F(-3, 4), F(-3, 2)]).monic() == Polynomial([F(1, 2), 1])
+    assert Polynomial([F(-3, 4), F(-3, 2)]).coeffs == (F(-3, 4), F(-3, 2))
+
+
+# The Fraction implementations that the integer kernels replaced, kept as
+# oracles: coefficient lists from the constant term up, no trailing zeros.
+
+
+def oracle_trim(values):
+    out = [F(v) for v in values]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def oracle_add(a, b):
+    n = max(len(a), len(b))
+    return oracle_trim(
+        (a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0) for k in range(n)
+    )
+
+
+def oracle_mul(a, b):
+    if not a or not b:
+        return []
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return oracle_trim(out)
+
+
+def oracle_divmod(a, b):
+    rem = list(a)
+    quo = [F(0)] * max(0, len(rem) - len(b) + 1)
+    for k in range(len(rem) - len(b), -1, -1):
+        c = rem[k + len(b) - 1] / b[-1]
+        quo[k] = c
+        if c:
+            for j, y in enumerate(b):
+                rem[k + j] -= c * y
+    return oracle_trim(quo), oracle_trim(rem)
+
+
+def oracle_gcd(a, b):
+    while b:
+        a, b = b, oracle_divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def oracle_eval(a, x):
+    acc = a[-1] if a else F(0)
+    for c in reversed(a[:-1]):
+        acc = acc * x + c
+    return acc
+
+
+def oracle_derivative(a):
+    return oracle_trim(k * c for k, c in enumerate(a))[1:]
+
+
+@st.composite
+def fraction_lists(draw, max_degree=5):
+    """Coefficient lists, zero and constant ones included; numerators small
+    or up to 40 digits, denominators up to 10^6, leading terms of any sign."""
+    num = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(10**40), 10**40))
+    den = st.one_of(st.just(1), st.integers(1, 12), st.integers(1, 10**6))
+    return draw(st.lists(st.builds(F, num, den), max_size=max_degree + 1))
+
+
+@st.composite
+def fraction_pairs(draw):
+    """Two coefficient lists, sometimes multiplied by a shared factor, which
+    may be a square."""
+    a, b = draw(fraction_lists()), draw(fraction_lists())
+    if draw(st.booleans()):
+        s = draw(fraction_lists(max_degree=3))
+        if draw(st.booleans()):
+            s = oracle_mul(s, s)
+        a, b = oracle_mul(a, s), oracle_mul(b, s)
+    return oracle_trim(a), oracle_trim(b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fraction_pairs(), st.integers(-(10**6), 10**6), st.builds(F, st.integers(-99, 99), st.integers(1, 10**6)),
+       st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False))
+def test_integer_kernels_match_fraction_oracles(pair, n, q, z):
+    a, b = pair
+    pa, pb = Polynomial(a), Polynomial(b)
+    assert list(pa.coeffs) == a and list(pb.coeffs) == b
+    assert list((pa + pb).coeffs) == oracle_add(a, b)
+    assert list((pa - pb).coeffs) == oracle_add(a, [-c for c in b])
+    assert list((pa * pb).coeffs) == oracle_mul(a, b)
+    assert list(pa.derivative().coeffs) == oracle_derivative(a)
+    if b:
+        quo, rem = divmod(pa, pb)
+        assert (list(quo.coeffs), list(rem.coeffs)) == oracle_divmod(a, b)
+    assert list(pa.gcd(pb).coeffs) == oracle_gcd(a, b)
+    if a:
+        assert pa.is_squarefree() == (len(oracle_gcd(a, oracle_derivative(a))) == 1)
+    for x in (n, q):
+        value = pa(x)
+        assert type(value) is F and value == oracle_eval(a, x)
+    # floats and complex numbers keep the Horner over the Fraction coefficients
+    for x in (z, z.real):
+        value, expected = pa(x), oracle_eval(a, x)
+        assert type(value) is type(expected) and value == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(fraction_pairs())
+def test_gcd_matches_sympy(pair):
+    a, b = pair
+    pa, pb = Polynomial(a), Polynomial(b)
+    expected = sympy.gcd(sympy_poly(pa), sympy_poly(pb)).all_coeffs()
+    assert list(pa.gcd(pb).coeffs) == oracle_trim(F(int(c.p), int(c.q)) for c in reversed(expected))
+
+
+def test_gcd_at_degree_40_takes_under_two_seconds():
+    # Euclid over Q took 76 s on the first of these
+    rng = random.Random(40)
+
+    def poly(degree):
+        return Polynomial([F(rng.randint(-(10**10), 10**10), rng.randint(1, 1000)) for _ in range(degree + 1)])
+
+    a, b, shared = poly(40), poly(39), poly(5)
+    square = poly(30) * shared * shared
+    cases = [
+        (lambda: a.gcd(b).degree, 0),
+        (lambda: (a * shared).gcd(b * shared) == shared.monic(), True),
+        (a.is_squarefree, True),
+        (square.is_squarefree, False),
+    ]
+    for call, expected in cases:
+        start = time.perf_counter()
+        assert call() == expected
+        assert time.perf_counter() - start < 2
+
+
 def test_ternary_monomial_order():
     assert ternary_monomials(1) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert ternary_monomials(2) == [
