@@ -1,0 +1,13 @@
+"""Every output that goes through rational_kernel or rational_solve, on a
+seeded corpus, against the digests in pin_corpus.json.  On a failure,
+`PYTHONPATH=src python tests/pin_corpus.py --check` names the first
+differing call of each family."""
+
+import pytest
+
+import pin_corpus
+
+
+@pytest.mark.parametrize("family", sorted(pin_corpus.FAMILIES))
+def test_pinned_family(family):
+    assert pin_corpus.first_difference(family, pin_corpus.load_pins()) is None
