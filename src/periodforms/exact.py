@@ -77,21 +77,8 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = _coerce(other)
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
-
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
-
-    def times_i(self) -> "GaussianRational":
-        return GaussianRational(-self.im, self.re)
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0

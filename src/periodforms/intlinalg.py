@@ -3,9 +3,9 @@
 Lattices are handled as lists of generator vectors (rows).  All integer
 routines use arbitrary-precision ints: Hermite forms, with or without their
 transform, come from one core, lll_reduce is the integral LLL, the rank
-over Z or Q and the integer determinant come from one fraction-free
-(Bareiss) elimination, and rational kernel and solve share one
-Gauss-Jordan elimination over Fraction entries.
+over Z or Q, the integer determinant and the rational kernel and solve
+come from one fraction-free (Bareiss) elimination; Fractions appear only
+in the kernel and solve results.
 No floating point anywhere.
 """
 
@@ -231,7 +231,7 @@ def saturate_rows(rows, width=None):
 
 def integer_rank(rows):
     """Rank of an integer matrix by Bareiss fraction-free elimination."""
-    return _bareiss(rows)[0]
+    return len(_bareiss(rows)[1])
 
 
 def rational_rank(rows):
@@ -243,13 +243,13 @@ def integer_det(rows):
     """Determinant of a square integer matrix by Bareiss elimination."""
     if any(len(r) != len(rows) for r in rows):
         raise DomainError("determinant of a non-square matrix")
-    rank, pivot = _bareiss(rows)
-    return pivot if rank == len(rows) else 0
+    _, pivots, last = _bareiss(rows)
+    return last if len(pivots) == len(rows) else 0
 
 
-def _bareiss(rows):
+def _bareiss(rows, reduce=False):
     """Fraction-free elimination (Cohen, A Course in Computational Algebraic
-    Number Theory, 2.2): returns (rank, last pivot).
+    Number Theory, 2.2): returns (rows, pivot columns, last pivot).
 
     After k pivots every live entry is a (k+1)-minor of the input, so the
     division by the previous pivot is exact and entry sizes stay
@@ -257,12 +257,19 @@ def _bareiss(rows):
     row moved down, so the last pivot of a nonsingular square matrix is its
     determinant, sign included.  Below the pivot row every column up to
     the pivot's is zero, so only the columns right of it are updated.
+
+    With reduce, the rows above the pivot row take the same update
+    (fraction-free Gauss-Jordan: Bareiss, Math. Comp. 22, 1968; Nakos,
+    Turner and Williams, SIGSAM Bull. 31, 1997).  Every pivot then ends
+    equal to the last one, d, and the pivot columns vanish off their pivot
+    rows, so the rows divided by d are the reduced row echelon form.
     """
     a = list(rows)
     m = len(a)
     n = len(a[0]) if m else 0
-    rank, prev = 0, 1
+    pivots, prev = [], 1
     for c in range(n):
+        rank = len(pivots)
         if rank == m:
             break
         piv = next((i for i in range(rank, m) if a[i][c]), None)
@@ -280,50 +287,25 @@ def _bareiss(rows):
                 a[i] = zeros + [(p * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
             else:
                 a[i] = zeros + [p * x // prev for x in row[c + 1:]]
+        if reduce:
+            for i in range(rank):
+                row = a[i]
+                f = row[c]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
         prev = p
-        rank += 1
-    return rank, prev
-
-
-def _gauss_jordan(rows):
-    """Reduced row echelon form over an exact field: (rows, pivot columns).
-
-    Entries become Fractions.  Each column's pivot is its first nonzero
-    entry at or below the current row.
-    """
-    a = [[Fraction(x) for x in r] for r in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    pivots = []
-    for c in range(n):
-        rank = len(pivots)
-        if rank == m:
-            break
-        piv = next((i for i in range(rank, m) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        pv = a[rank][c]
-        a[rank] = [x / pv for x in a[rank]]
-        for i in range(m):
-            if i != rank and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
         pivots.append(c)
-    return a, pivots
+    return a, pivots, prev
 
 
 def rational_kernel(rows, width=None):
-    """Basis of the rational null space {x : A x = 0} as Fraction vectors."""
+    """Basis of the rational null space {x : A x = 0} as Fraction vectors,
+    one per free column; no rows means the zero map on width coordinates."""
     if not rows:
         if width is None:
             raise DomainError("kernel of an empty matrix needs an explicit width")
-        return [
-            [Fraction(1) if i == j else Fraction(0) for j in range(width)]
-            for i in range(width)
-        ]
-    a, pivots = _gauss_jordan(rows)
-    n = len(a[0])
+        rows = [[0] * width]
+    a, pivots, d = _bareiss(clear_denominators(rows)[0], reduce=True)
+    n = len(rows[0])
     basis = []
     for fc in range(n):
         if fc in pivots:
@@ -331,7 +313,7 @@ def rational_kernel(rows, width=None):
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -a[r][fc]
+            v[pc] = Fraction(-a[r][fc], d)
         basis.append(v)
     return basis
 
@@ -346,12 +328,13 @@ def rational_solve(rows, rhs):
     if len(rhs) != len(rows):
         raise DomainError("right-hand side length does not match the rows")
     n = len(rows[0]) if rows else 0
-    a, pivots = _gauss_jordan([list(r) + [b] for r, b in zip(rows, rhs)])
+    augmented = clear_denominators([list(r) + [b] for r, b in zip(rows, rhs)])[0]
+    a, pivots, d = _bareiss(augmented, reduce=True)
     if pivots and pivots[-1] == n:
         raise DomainError("inconsistent linear system")
     x = [Fraction(0)] * n
     for r, pc in enumerate(pivots):
-        x[pc] = a[r][n]
+        x[pc] = Fraction(a[r][n], d)
     return x
 
 

@@ -370,7 +370,7 @@ def _splitting_witness(a, b, lattice):
         for r in range(n)
     ]
     v = list(lattice.vectors[-1])
-    xr, xi, yr, yi = rational_solve(system, [Fraction(x) for x in v])
+    xr, xi, yr, yi = rational_solve(system, v)
     w = [
         2 * (xi * cols[0][r] + xr * cols[1][r] + yi * cols[2][r] + yr * cols[3][r])
         for r in range(n)
@@ -470,8 +470,7 @@ def torus_data(taus):
         ) from exc
     lattice = saturate(span)
     system = [
-        [Fraction(lattice.vectors[i][r]) for i in range(2 * k)]
-        for r in range(len(taus[0].periods))
+        [lattice.vectors[i][r] for i in range(2 * k)] for r in range(len(taus[0].periods))
     ]
     matrix, real_rows = [], []
     for t in taus:

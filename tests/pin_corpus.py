@@ -47,9 +47,7 @@ PIN_FILE = Path(__file__).with_name("pin_corpus.json")
 
 def render(value):
     """Canonical text of an output: Fractions as p/q, lists and dicts in
-    order, GaussianRationals as [re, im] pairs."""
-    if isinstance(value, bool) or value is None:
-        return str(value)
+    order, GaussianRationals as (re, im)."""
     if isinstance(value, Fraction):
         return str(value.numerator) if value.denominator == 1 else "%d/%d" % (
             value.numerator, value.denominator)

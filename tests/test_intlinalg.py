@@ -56,6 +56,62 @@ def is_unimodular(u):
     return abs(reference_det(u)) == 1
 
 
+def fraction_gauss_jordan(rows):
+    """Reduced row echelon form over Fraction entries, (rows, pivot
+    columns), independent of the library's fraction-free elimination.
+    Each column's pivot is its first nonzero entry at or below the current
+    row."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    pivots = []
+    for c in range(n):
+        rank = len(pivots)
+        if rank == m:
+            break
+        piv = next((i for i in range(rank, m) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        pv = a[rank][c]
+        a[rank] = [x / pv for x in a[rank]]
+        for i in range(m):
+            if i != rank and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        pivots.append(c)
+    return a, pivots
+
+
+def fraction_kernel(rows, width):
+    """One null vector per free column: 1 there, 0 at the other free
+    columns."""
+    a, pivots = fraction_gauss_jordan(rows or [[0] * width])
+    n = len(rows[0]) if rows else width
+    basis = []
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -a[r][fc]
+        basis.append(v)
+    return basis
+
+
+def fraction_solve(rows, rhs):
+    """The solution with free variables zero, or None if inconsistent."""
+    n = len(rows[0]) if rows else 0
+    a, pivots = fraction_gauss_jordan([list(r) + [b] for r, b in zip(rows, rhs)])
+    if pivots and pivots[-1] == n:
+        return None
+    x = [Fraction(0)] * n
+    for r, pc in enumerate(pivots):
+        x[pc] = a[r][n]
+    return x
+
+
 def test_hnf_transform_reconstructs():
     rng = random.Random(3)
     for _ in range(60):
@@ -174,6 +230,51 @@ def test_rational_solve_rejects_mismatched_rhs():
 
 
 @st.composite
+def rational_systems(draw):
+    """(rows, width, rhs): mixed int and Fraction entries, zero rows and
+    columns, dependent rows, no rows at all; rhs is A x for a drawn x, or
+    is moved off the column span by one unit in one row."""
+    n = draw(st.integers(0, 6))
+    entry = st.one_of(
+        st.just(0),
+        st.integers(-4, 4),
+        st.fractions(min_value=-9, max_value=9, max_denominator=12),
+        st.integers(-(2**70), 2**70),
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=5))
+    for _ in range(draw(st.integers(0, 2))):
+        if not rows:
+            break
+        u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        a, b = draw(entry), draw(entry)
+        rows.append([a * x + b * y for x, y in zip(u, v)])
+    if n:
+        for c in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+            for row in rows:
+                row[c] = 0
+    rows = draw(st.permutations(rows))
+    x = draw(st.lists(entry, min_size=n, max_size=n))
+    rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+    if rows and draw(st.booleans()):
+        rhs[draw(st.integers(0, len(rows) - 1))] += 1
+    return rows, n, rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_systems())
+def test_rational_kernel_and_solve_match_fraction_gauss_jordan(system):
+    rows, n, rhs = system
+    # repr compares exactly: every entry a Fraction, in lowest terms
+    assert repr(rational_kernel(rows, n)) == repr(fraction_kernel(rows, n))
+    expected = fraction_solve(rows, rhs)
+    if expected is None:
+        with pytest.raises(DomainError, match="inconsistent"):
+            rational_solve(rows, rhs)
+    else:
+        assert repr(rational_solve(rows, rhs)) == repr(expected)
+
+
+@st.composite
 def integer_matrices(draw):
     """Integer matrices of any shape with dependent, duplicated and zero
     rows mixed in; entries small or up to 2^200."""
@@ -197,9 +298,7 @@ def integer_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(integer_matrices(), st.integers(1, 12))
 def test_integer_rank_matches_rational_rank(rows, den):
-    # the Gauss-Jordan kernel is an independent oracle for the Bareiss rank
-    n = len(rows[0]) if rows else 0
-    oracle = n - len(rational_kernel(rows, n)) if rows else 0
+    oracle = len(fraction_gauss_jordan(rows)[1])
     assert integer_rank(rows) == rational_rank(rows) == oracle
     scaled = [[Fraction(x, den + i) for i, x in enumerate(row)] for row in rows]
     assert rational_rank(scaled) == oracle
@@ -278,7 +377,7 @@ def sparse_matrices(draw):
 @given(sparse_matrices())
 def test_bareiss_on_sparse_matrices(rows):
     n = len(rows[0])
-    assert integer_rank(rows) == n - len(rational_kernel(rows, n))
+    assert integer_rank(rows) == len(fraction_gauss_jordan(rows)[1])
     if len(rows) == n:
         assert integer_det(rows) == reference_det(rows)
         if n <= 5:

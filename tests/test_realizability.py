@@ -337,6 +337,10 @@ def test_hodge_riemann_rejects_a_complex_dependence():
         hodge_riemann_check([a, a.scale(GaussianRational(0, 1))])
 
 
+def times_i(z):
+    return GaussianRational(-z.im, z.re)
+
+
 def gaussian_det(m):
     """Cofactor determinant of a square matrix of size at most 3 over Q(i)."""
     if len(m) == 1:
@@ -362,7 +366,7 @@ def gaussian_minor_check(taus):
     ):
         raise DomainError("classes are linearly dependent")
     conj = [[p.conjugate() for p in row] for row in rows]
-    h = [[omega(rows[j], conj[m]).times_i() for m in range(k)] for j in range(k)]
+    h = [[times_i(omega(rows[j], conj[m])) for m in range(k)] for j in range(k)]
     minors = [gaussian_det([row[:size] for row in h[:size]]) for size in range(1, k + 1)]
     assert all(m.im == 0 for m in minors), "hermitian minors are real"
     return all(m.re > 0 for m in minors)

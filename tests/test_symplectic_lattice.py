@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
 
@@ -568,6 +569,38 @@ def test_contains_rejects_wrong_length():
     for v in ([1, 0, 0, 0, 5, 5], [1, 0]):
         with pytest.raises(DomainError, match="vector length"):
             lat.contains(v)
+
+
+@st.composite
+def lattices_and_probes(draw):
+    """Independent generators, some of them doubled, and a probe that is
+    either half an integer combination of them, so it may be integral and
+    in the span without being a member, or any integer vector."""
+    genus = draw(st.integers(1, 3))
+    n = 2 * genus
+    entry = st.integers(-4, 4)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=n))
+    assume(integer_rank(rows) == len(rows))
+    doubled = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    rows = [[2 * x for x in r] if d else r for r, d in zip(rows, doubled)]
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+        v = [Fraction(sum(c * r[i] for c, r in zip(coeffs, rows)), 2) for i in range(n)]
+    else:
+        v = draw(st.lists(entry, min_size=n, max_size=n))
+    return genus, rows, v
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattices_and_probes())
+def test_contains_is_hermite_membership(case):
+    genus, rows, v = case
+    member = Sublattice(rows, genus=genus).contains(v)
+    if all(Fraction(x).denominator == 1 for x in v):
+        v = [int(x) for x in v]
+        assert member == (row_hnf(rows + [v]) == row_hnf(rows))
+    else:
+        assert not member
 
 
 # ---------------------------------------------------------------------------
