@@ -9,13 +9,17 @@ are the linear forms of the plane and the quadratic differentials are the
 conics.  All dimension counts are exact rational linear algebra, and so is
 every verdict on degenerate input (repeated zeroes, beta vanishing at a
 zero of alpha, a constant quadruple).  Floating point only produces
-reported values: the quartic cross-ratios, and the section values and
-residues on explicit request for curves with irrational zero loci.
+reported values, from roots found in pure Python by _numeric_roots: the
+quartic cross-ratios, and the section values and residues on explicit
+request for curves with irrational zero loci.
 """
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
+from math import exp, inf, log, pi
+from sys import float_info
 
 from .errors import DomainError
 from .exact import QuadraticNumber
@@ -402,14 +406,56 @@ def noether_image_dim(curve) -> int:
 
 
 def _numeric_roots(p):
-    """Complex roots of a rational polynomial by numpy, sorted by real then
-    imaginary part; numpy is imported only here, on first use."""
+    """The deg p complex roots of p, sorted by real then imaginary part: the
+    Aberth-Ehrlich iteration from Newton-polygon radii, each root ending on a
+    Newton step (Bini, Numer. Algorithms 13, 1996).  A nonzero coefficient of
+    monic p outside the float range is refused, so no root is lost.  Each root
+    is averaged with the nearest root conjugate; its own leaves imag 0.0."""
     try:
-        import numpy
-    except ImportError:
-        raise DomainError("numeric roots need numpy") from None
-    roots = numpy.roots([float(c) for c in reversed(p.coeffs)])
-    return sorted((complex(z) for z in roots), key=lambda z: (z.real, z.imag))
+        a = [c / p.num[-1] for c in p.num]
+    except OverflowError:
+        a = None
+    if a is None or any(x == 0.0 for x, c in zip(a, p.num) if c):
+        raise DomainError("the polynomial is not representable in floating point")
+    zeros = next(k for k, c in enumerate(a) if c)  # roots of exactly 0.0
+    a = a[zeros:]
+    n, top = len(a) - 1, a[::-1]
+
+    def newton(w):
+        # p(w)/p'(w) and if p(w) is down to rounding; |w| > 1 reverses p lest powers overflow
+        inside = abs(w) <= 1
+        x = w if inside else 1 / w
+        v, d, s = 0j, 0j, 0.0
+        for c in top if inside else a:
+            d, v, s = d * x + v, v * x + c, s * abs(x) + abs(c)
+        step = (v / d if inside else w * v / (n * v - d * x)) if v else 0j
+        return step, abs(v) <= 4 * n * float_info.epsilon * s
+    # one circle per edge of the Newton polygon, the upper hull of (k, log|a_k|)
+    logs = [log(abs(c)) if c else -inf for c in a]
+    z, i = [], 0
+    while i < n:
+        k = max(range(i + 1, n + 1), key=lambda j: ((logs[j] - logs[i]) / (j - i), j))
+        r = exp((logs[i] - logs[k]) / (k - i))
+        z += [cmath.rect(r, 2 * pi * (m / (k - i) + i / n) + 0.7) for m in range(k - i)]
+        i = k
+    active = set(range(n))
+    try:
+        for _ in range(100):
+            for i in sorted(active):
+                step, settled = newton(z[i])
+                if settled:
+                    active.discard(i)  # after one last, plain Newton step
+                else:
+                    step /= 1 - step * sum(1 / (z[i] - u) for k, u in enumerate(z) if k != i)
+                z[i] -= step
+            if not active:
+                break
+    except (OverflowError, ZeroDivisionError):
+        active = True
+    if active or not all(map(cmath.isfinite, z)):
+        raise DomainError("the numeric roots did not converge")
+    z = [(w + min(z, key=lambda u: abs(w - u.conjugate())).conjugate()) / 2 for w in z]
+    return sorted([0j] * zeros + z, key=lambda w: (w.real, w.imag))
 
 
 def _affine_zero_values(alpha, numeric, simple_error):
@@ -551,8 +597,7 @@ def quartic_cross_ratio(quartic: PlaneQuartic, alpha_line, beta_line, gamma_line
     Otherwise gamma/beta = (g1*t + g0)/(b1*t + b0) is a Moebius map with
     nonzero determinant, defined at the four distinct roots, and Moebius
     maps preserve cross-ratios in the same order.  So the two cross-ratios
-    are equal and ``matches`` is always True.  Floating point (numpy
-    roots) only produces the two reported values.
+    are equal and ``matches`` is always True; floats only give the values.
     """
     alpha = _as_line(quartic, alpha_line)
     beta = _as_line(quartic, beta_line)

@@ -477,7 +477,7 @@ def test_bad_rational_string_exits_2(capsys):
     assert "cannot parse" in err
 
 
-def test_numeric_roots_without_numpy_exit_1():
+def test_numeric_roots_without_numpy(capsys):
     residues = payload(curve=GENUS2_CURVE, omega={"q": ["1"]}, alpha=["-2", "1"])
     sections = payload(curve=GENUS2_CURVE, gamma=[0, 1], beta=[1, 0], alpha=["-2", "1"])
     calls = [
@@ -488,11 +488,37 @@ def test_numeric_roots_without_numpy_exit_1():
         ["curve", "residues", "--input", residues],
     ]
     report = run_without("numpy", calls)
+    # the same calls in this interpreter, where numpy is importable
+    assert report["calls"] == [list(run(capsys, *argv)) for argv in calls]
     *numeric, exact = report["calls"]
-    for code, out, err in numeric:
-        assert code == 1 and out == ""
-        assert err == "error: numeric roots need numpy\n"
+    assert all(code == 0 and err == "" for code, _, err in numeric)
     assert exact[0] == 0 and json.loads(exact[1])["sum"] == "0"
+
+
+TOO_BIG = str(10**400)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curve", "sections", "--numeric", "--input",
+         payload(curve=GENUS2_CURVE, gamma=[0, 1], beta=[1, 0], alpha=["-3", TOO_BIG])],
+        ["curve", "cross-ratio", "--input",
+         payload(curve={"kind": "quartic",
+                        "coefficients": [[4, 0, 0, TOO_BIG], [0, 4, 0, "1"], [0, 0, 4, "1"]]},
+                 alpha=[0, 0, 1], beta=[0, 1, 0], gamma=[1, 0, 0])],
+        ["curve", "sections", "--numeric", "--input",
+         payload(curve=GENUS2_CURVE, gamma=[0, 1], beta=[1, 0], alpha=["-3", "1/" + TOO_BIG])],
+        ["curve", "residues", "--numeric", "--input",
+         payload(curve=GENUS2_CURVE, omega={"q": ["1"]}, alpha=["-3", "1/" + TOO_BIG])],
+    ],
+)
+def test_numeric_roots_outside_the_float_range_exit_1(capsys, argv):
+    # made monic, each alpha or restricted quartic has a nonzero coefficient
+    # that overflows or rounds to 0.0, so it has no floating-point roots
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: the polynomial is not representable in floating point\n"
 
 
 def test_output_integer_past_the_digit_limit_exits_1(capsys):

@@ -1,10 +1,12 @@
 import cmath
 import random
+import time
 from fractions import Fraction as F
 
+import numpy
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from periodforms import curve_algebra
 from periodforms.curve_algebra import (
@@ -564,16 +566,85 @@ def test_section_values_numeric_near_a_shared_zero():
 
 
 def test_section_values_numeric_refuses_a_float_zero_of_beta():
-    import numpy
-
     curve = hyperelliptic([3, 4, 5, 6, 7, 8, 9, 10])
     alpha = Differential(curve, X * X - 2)
     # the float root of alpha as an exact rational: beta shares no zero
     # with alpha, but its float value there is 0.0
-    root = max(numpy.roots([1.0, 0.0, -2.0]))
-    beta = Differential(curve, X - F(float(root)))
+    root = curve_algebra._numeric_roots(alpha.p)[-1]
+    beta = Differential(curve, X - F(root.real))
     with pytest.raises(DomainError, match="beta rounds to zero"):
         section_values(Differential(curve, X), beta, alpha, numeric=True)
+
+
+# ---------------------------------------------------------- numeric roots
+
+def condition(coeffs, root):
+    """The relative condition number of a simple nonzero root of the
+    polynomial with these coefficients, listed from the constant term up;
+    infinite at a multiple root."""
+    scale = sum(abs(c) * abs(root) ** k for k, c in enumerate(coeffs))
+    slope = sum(k * c * root ** (k - 1) for k, c in enumerate(coeffs) if k)
+    return scale / (abs(root) * abs(slope)) if slope else float("inf")
+
+
+def numpy_roots_if_well_conditioned(p):
+    """numpy.roots of p, or None when a root is too ill-conditioned for two
+    backward-stable methods to agree on it to a relative 1e-9."""
+    coeffs = [float(c) for c in p.coeffs]
+    reference = [complex(z) for z in numpy.roots(coeffs[::-1])]
+    if all(condition(coeffs, z) < 1e4 for z in reference if z):
+        return reference
+    return None
+
+
+def assert_roots_match(p, reference):
+    """_numeric_roots(p) gives deg p roots in (real, imag) order which,
+    paired nearest first, agree with the reference to a relative 1e-9."""
+    ours = curve_algebra._numeric_roots(p)
+    assert len(ours) == p.degree
+    assert ours == sorted(ours, key=lambda z: (z.real, z.imag))
+    for z in ours:
+        k = min(range(len(reference)), key=lambda k: abs(reference[k] - z))
+        assert abs(reference.pop(k) - z) <= 1e-9 * abs(z)
+    return ours
+
+
+rationals = st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(rationals, min_size=1, max_size=12), rationals.filter(bool),
+       st.integers(0, 3))
+def test_numeric_roots_match_numpy(low, lead, zeros):
+    # degree 1-12; zero low-order coefficients give roots of exactly 0.0
+    p = Polynomial([0] * zeros + low[zeros:] + [lead])
+    reference = numpy_roots_if_well_conditioned(p)
+    assume(reference is not None)
+    ours = assert_roots_match(p, reference)
+    constant = next(k for k, c in enumerate(p.coeffs) if c)
+    assert [z for z in ours if z == 0] == [0j] * constant
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-20, 20), min_size=1, max_size=8, unique=True),
+       rationals.filter(bool), rationals.filter(bool))
+def test_numeric_roots_of_real_rooted_products_are_real(roots, scale, lead):
+    p = Polynomial.from_roots([r * scale for r in roots], lead=lead)
+    assert all(z.imag == 0.0 for z in curve_algebra._numeric_roots(p))
+    reference = numpy_roots_if_well_conditioned(p)
+    assume(reference is not None)
+    assert_roots_match(p, reference)
+
+
+def test_numeric_roots_of_degree_forty_within_a_second():
+    rng = random.Random(40)
+    p = Polynomial([F(rng.randint(-10**6, 10**6), rng.randint(1, 10**3)) for _ in range(41)])
+    start = time.perf_counter()
+    curve_algebra._numeric_roots(p)
+    assert time.perf_counter() - start < 1.0
+    reference = numpy_roots_if_well_conditioned(p)
+    assert reference is not None
+    assert_roots_match(p, reference)
 
 
 # -------------------------------------------------------------- residues
