@@ -13,78 +13,66 @@ Four layers, each usable on its own:
   quartic curves (obscurant subspaces, coprime/linked classification,
   residue and cross-ratio laws).
 
-The cli module exposes all of it as `periodforms` subcommands.
+The cli module exposes all of it as `periodforms` subcommands, and each
+subcommand loads only the layer it runs.  In the same way `import
+periodforms` loads no layer: each public name below is resolved from its
+module on first access (PEP 562), so `from periodforms import X` loads
+only the layer that defines X.
 """
 
-from .covers import BranchedTorusCover, Origami, Permutation, construct_cover
-from .curve_algebra import (
-    Differential,
-    HyperellipticCurve,
-    PlaneQuartic,
-    QuadDifferential,
-    TauSubspace,
-    classify,
-    obscurant_dim,
-    overlap_degree,
-    quartic_cross_ratio,
-    residues_of_quotient,
-    section_values,
-)
-from .errors import DomainError, FormatError
-from .exact import GaussianRational, QuadraticNumber
-from .realizability import (
-    CohomologyClass,
-    PlanarLattice,
-    is_realizable_elliptic_pair,
-    is_realizable_line,
-    line_verdict_from_floats,
-    polyperiod_dimension_gap,
-    severi_range,
-)
-from .symplectic_lattice import (
-    Sublattice,
-    alternating_normal_form,
-    determinant,
-    extend_to_symplectic_basis,
-    map_rank2_sublattice,
-    map_rank4_sublattice,
-    saturate,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BranchedTorusCover",
-    "CohomologyClass",
-    "Differential",
-    "DomainError",
-    "FormatError",
-    "GaussianRational",
-    "HyperellipticCurve",
-    "Origami",
-    "Permutation",
-    "PlanarLattice",
-    "PlaneQuartic",
-    "QuadDifferential",
-    "QuadraticNumber",
-    "Sublattice",
-    "TauSubspace",
-    "alternating_normal_form",
-    "classify",
-    "construct_cover",
-    "determinant",
-    "extend_to_symplectic_basis",
-    "is_realizable_elliptic_pair",
-    "is_realizable_line",
-    "line_verdict_from_floats",
-    "map_rank2_sublattice",
-    "map_rank4_sublattice",
-    "obscurant_dim",
-    "overlap_degree",
-    "polyperiod_dimension_gap",
-    "quartic_cross_ratio",
-    "residues_of_quotient",
-    "saturate",
-    "section_values",
-    "severi_range",
-]
+# each public name and the module that defines it
+_EXPORTS = {
+    "BranchedTorusCover": "covers",
+    "Origami": "covers",
+    "Permutation": "covers",
+    "construct_cover": "covers",
+    "Differential": "curve_algebra",
+    "HyperellipticCurve": "curve_algebra",
+    "PlaneQuartic": "curve_algebra",
+    "QuadDifferential": "curve_algebra",
+    "TauSubspace": "curve_algebra",
+    "classify": "curve_algebra",
+    "obscurant_dim": "curve_algebra",
+    "overlap_degree": "curve_algebra",
+    "quartic_cross_ratio": "curve_algebra",
+    "residues_of_quotient": "curve_algebra",
+    "section_values": "curve_algebra",
+    "DomainError": "errors",
+    "FormatError": "errors",
+    "GaussianRational": "exact",
+    "QuadraticNumber": "exact",
+    "CohomologyClass": "realizability",
+    "PlanarLattice": "realizability",
+    "is_realizable_elliptic_pair": "realizability",
+    "is_realizable_line": "realizability",
+    "line_verdict_from_floats": "realizability",
+    "polyperiod_dimension_gap": "realizability",
+    "severi_range": "realizability",
+    "Sublattice": "symplectic_lattice",
+    "alternating_normal_form": "symplectic_lattice",
+    "determinant": "symplectic_lattice",
+    "extend_to_symplectic_basis": "symplectic_lattice",
+    "map_rank2_sublattice": "symplectic_lattice",
+    "map_rank4_sublattice": "symplectic_lattice",
+    "saturate": "symplectic_lattice",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name)) from None
+    value = getattr(import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

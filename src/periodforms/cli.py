@@ -5,6 +5,10 @@ library call, and prints the result to stdout.  Exit codes: 0 on success,
 1 when a mathematical precondition fails (DomainError), 2 when the input
 itself is malformed.  Output bytes are deterministic for fixed input and
 flags: JSON is dumped with sorted keys and no locale-dependent pieces.
+
+Each handler reads its input first and then imports the layer it runs,
+so a call loads no other layer and malformed JSON is refused before any
+layer loads.
 """
 
 from __future__ import annotations
@@ -13,9 +17,7 @@ import argparse
 import json
 import sys
 
-from . import covers, curve_algebra, jsonio, realizability, symplectic_lattice
 from .errors import DomainError, FormatError
-from .exact import quadratic_sum
 
 
 def _read_payload(args):
@@ -75,6 +77,7 @@ def _render(result, fmt):
 
 
 def _encode_kernel(tau):
+    from . import curve_algebra, jsonio
     return [
         [jsonio.encode_rational(x) for x in vec]
         for vec in curve_algebra.obscurant_kernel(tau)
@@ -86,6 +89,7 @@ def _encode_kernel(tau):
 
 def _cmd_realizable_line(args):
     payload = _read_payload(args)
+    from . import jsonio, realizability
     if jsonio.periods_are_numeric(payload):
         genus, values = jsonio.decode_float_periods(payload)
         verdict = realizability.line_verdict_from_floats(
@@ -98,6 +102,7 @@ def _cmd_realizable_line(args):
 
 def _cmd_realizable_pair(args):
     payload = _read_payload(args)
+    from . import jsonio, realizability
     a = jsonio.decode_class(jsonio.require_field(payload, "a", "pair input"))
     b = jsonio.decode_class(jsonio.require_field(payload, "b", "pair input"))
     verdict = realizability.is_realizable_elliptic_pair(
@@ -110,22 +115,29 @@ def _cmd_realizable_pair(args):
 
 
 def _cmd_lattice_det(args):
-    lattice = jsonio.decode_sublattice(_read_payload(args))
+    payload = _read_payload(args)
+    from . import jsonio, symplectic_lattice
+    lattice = jsonio.decode_sublattice(payload)
     return {"determinant": symplectic_lattice.determinant(lattice)}
 
 
 def _cmd_lattice_saturate(args):
-    lattice = jsonio.decode_sublattice(_read_payload(args))
+    payload = _read_payload(args)
+    from . import jsonio, symplectic_lattice
+    lattice = jsonio.decode_sublattice(payload)
     return jsonio.encode_sublattice(symplectic_lattice.saturate(lattice))
 
 
 def _cmd_lattice_normal_form(args):
-    lattice = jsonio.decode_sublattice(_read_payload(args))
+    payload = _read_payload(args)
+    from . import jsonio, symplectic_lattice
+    lattice = jsonio.decode_sublattice(payload)
     return jsonio.encode_normal_form(symplectic_lattice.alternating_normal_form(lattice))
 
 
 def _cmd_lattice_extend(args):
     payload = _read_payload(args)
+    from . import jsonio, symplectic_lattice
     genus = jsonio.as_int(jsonio.require_field(payload, "genus", "extend input"), "genus")
     vector = jsonio.decode_int_vector(jsonio.require_field(payload, "vector", "extend input"))
     matrix = symplectic_lattice.extend_to_symplectic_basis(vector, genus=genus)
@@ -134,6 +146,7 @@ def _cmd_lattice_extend(args):
 
 def _map_payload(args):
     payload = _read_payload(args)
+    from . import jsonio
     source = jsonio.decode_sublattice(jsonio.require_field(payload, "source", "map input"))
     target = jsonio.decode_sublattice(jsonio.require_field(payload, "target", "map input"))
     return source, target
@@ -141,11 +154,13 @@ def _map_payload(args):
 
 def _cmd_lattice_map2(args):
     source, target = _map_payload(args)
+    from . import jsonio, symplectic_lattice
     return jsonio.encode_matrix(symplectic_lattice.map_rank2_sublattice(source, target))
 
 
 def _cmd_lattice_map4(args):
     source, target = _map_payload(args)
+    from . import jsonio, symplectic_lattice
     return jsonio.encode_matrix(symplectic_lattice.map_rank4_sublattice(source, target))
 
 
@@ -153,12 +168,15 @@ def _cmd_lattice_map4(args):
 
 
 def _cmd_cover_build(args):
+    from . import covers, jsonio
     cover = covers.construct_cover(args.genus, args.degree)
     return jsonio.encode_cover(cover)
 
 
 def _cmd_cover_analyze(args):
-    cover = jsonio.decode_cover(_read_payload(args))
+    payload = _read_payload(args)
+    from . import covers, jsonio
+    cover = jsonio.decode_cover(payload)
     genus, degree, covol, det = covers.cover_class_invariants(cover)
     lattice = covers.period_lattice_of_cover(cover)
     return {
@@ -171,7 +189,9 @@ def _cmd_cover_analyze(args):
 
 
 def _cmd_cover_origami_genus(args):
-    origami = jsonio.decode_origami(_read_payload(args))
+    payload = _read_payload(args)
+    from . import covers, jsonio
+    origami = jsonio.decode_origami(payload)
     return {"genus": covers.genus_of_origami(origami)}
 
 
@@ -180,6 +200,7 @@ def _cmd_cover_origami_genus(args):
 
 def _tau_payload(args):
     payload = _read_payload(args)
+    from . import curve_algebra, jsonio
     curve = jsonio.decode_curve(jsonio.require_field(payload, "curve", "curve input"))
     raw = jsonio.as_sequence(
         jsonio.require_field(payload, "differentials", "curve input"), "differentials"
@@ -190,6 +211,7 @@ def _tau_payload(args):
 
 def _cmd_curve_classify(args):
     tau = _tau_payload(args)
+    from . import curve_algebra
     kernel = _encode_kernel(tau)
     return {
         "classification": curve_algebra.classify(tau),
@@ -201,6 +223,7 @@ def _cmd_curve_classify(args):
 
 def _cmd_curve_obscurant(args):
     tau = _tau_payload(args)
+    from . import curve_algebra
     kernel = _encode_kernel(tau)
     return {
         "obscurant_dim": len(kernel),
@@ -211,6 +234,7 @@ def _cmd_curve_obscurant(args):
 
 def _cmd_curve_overlap(args):
     payload = _read_payload(args)
+    from . import curve_algebra, jsonio
     curve = jsonio.decode_curve(jsonio.require_field(payload, "curve", "overlap input"))
     alpha = jsonio.decode_differential(
         curve, jsonio.require_field(payload, "alpha", "overlap input"), "alpha"
@@ -223,12 +247,15 @@ def _cmd_curve_overlap(args):
 
 def _cmd_curve_noether(args):
     payload = _read_payload(args)
+    from . import curve_algebra, jsonio
     curve = jsonio.decode_curve(jsonio.require_field(payload, "curve", "noether input"))
     return {"noether_image_dim": curve_algebra.noether_image_dim(curve)}
 
 
 def _cmd_curve_residues(args):
     payload = _read_payload(args)
+    from . import curve_algebra, jsonio
+    from .exact import quadratic_sum
     curve = jsonio.decode_curve(jsonio.require_field(payload, "curve", "residues input"))
     omega = jsonio.decode_quad_differential(
         curve, jsonio.require_field(payload, "omega", "residues input")
@@ -253,6 +280,7 @@ def _cmd_curve_residues(args):
 
 def _cmd_curve_sections(args):
     payload = _read_payload(args)
+    from . import curve_algebra, jsonio
     curve = jsonio.decode_curve(jsonio.require_field(payload, "curve", "sections input"))
     gamma = jsonio.decode_differential(
         curve, jsonio.require_field(payload, "gamma", "sections input"), "gamma"
@@ -272,6 +300,7 @@ def _cmd_curve_sections(args):
 
 def _cmd_curve_cross_ratio(args):
     payload = _read_payload(args)
+    from . import curve_algebra, jsonio
     curve = jsonio.decode_curve(jsonio.require_field(payload, "curve", "cross-ratio input"))
     names = ("alpha", "beta", "gamma")
     lines = [
@@ -292,10 +321,12 @@ def _cmd_curve_cross_ratio(args):
 
 
 def _cmd_dims_gap(args):
+    from . import realizability
     return realizability.polyperiod_dimension_gap(args.g, args.k)
 
 
 def _cmd_severi(args):
+    from . import realizability
     return [[g, nodes] for g, nodes in realizability.severi_range(args.det)]
 
 

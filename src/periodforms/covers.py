@@ -13,7 +13,6 @@ from __future__ import annotations
 from .errors import DomainError, check_output_size
 from .exact import GaussianRational
 from .intlinalg import row_hnf
-from .realizability import PlanarLattice
 
 
 class Permutation:
@@ -180,13 +179,15 @@ def genus_of_origami(o: Origami) -> int:
     d = o.degree
     vertices = commutator(o.h, o.v).cycle_count()
     excess = d - vertices
-    assert excess % 2 == 0, "commutator is always even"
+    if excess % 2:
+        raise DomainError("commutator is always even")
     return 1 + excess // 2
 
 def genus_of_branched_cover(c: BranchedTorusCover) -> int:
     d = c.degree
     total = sum(d - ci.cycle_count() for ci in c.branch)
-    assert total % 2 == 0, "branching parity is forced by the relation"
+    if total % 2:
+        raise DomainError("branching parity is forced by the relation")
     return 1 + total // 2
 
 
@@ -220,6 +221,9 @@ def period_lattice_of_cover(c: BranchedTorusCover) -> PlanarLattice:
     displacement of the corresponding loop on the torus, so the group they
     generate is the image of the cover's homology under integration.
     """
+    # here, so that building a cover or counting its genus loads no lattice code
+    from .realizability import PlanarLattice
+
     d = c.degree
     edges = []
     for perm, w in [(c.a, (1, 0)), (c.b, (0, 1))]:
@@ -238,7 +242,8 @@ def period_lattice_of_cover(c: BranchedTorusCover) -> PlanarLattice:
             if v not in pot:
                 pot[v] = (pot[u][0] + sgn * w[0], pot[u][1] + sgn * w[1])
                 queue.append(v)
-    assert len(pot) == d, "connectivity was checked at construction"
+    if len(pot) != d:
+        raise DomainError("connectivity was checked at construction")
     gens = []
     for u, v, w in edges:
         gens.append(

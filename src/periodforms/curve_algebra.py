@@ -458,6 +458,19 @@ def _numeric_roots(p):
     return sorted([0j] * zeros + z, key=lambda w: (w.real, w.imag))
 
 
+def _float_values(evaluate, xs):
+    """evaluate(x) for each numeric root x, flattened into complex numbers.
+    A coefficient or value outside the float range is refused, not left to
+    end in an OverflowError or a non-finite value."""
+    try:
+        values = [complex(v) for x in xs for v in evaluate(x)]
+    except OverflowError:
+        values = None
+    if values is None or not all(map(cmath.isfinite, values)):
+        raise DomainError("the polynomial is not representable in floating point")
+    return values
+
+
 def _affine_zero_values(alpha, numeric, simple_error):
     """The x-values under the 2g-2 zeroes of alpha, each carrying two
     points of the curve; validates the zero locus as a side effect."""
@@ -502,15 +515,18 @@ def section_values(gamma: Differential, beta: Differential, alpha: Differential,
         raise DomainError("beta vanishes at a zero of alpha")
     # at a float root, beta's terms could cancel against alpha's
     top, bottom = gamma.p % alpha.p, beta.p % alpha.p
-    values = []
-    for x in xs:
+
+    def value(x):
         below = bottom(x)
         if below == 0:
             # only a float can round to zero here; the exact value is not
             raise DomainError("beta rounds to zero at a zero of alpha")
         v = top(x) / below
-        values.extend([v, v])
-    return values
+        return v, v
+
+    if numeric:
+        return _float_values(value, xs)
+    return [v for x in xs for v in value(x)]
 
 
 def residues_of_quotient(omega: QuadDifferential, alpha: Differential, numeric=False):
@@ -525,13 +541,14 @@ def residues_of_quotient(omega: QuadDifferential, alpha: Differential, numeric=F
     xs = _affine_zero_values(alpha, numeric,
                              "higher-order zero unsupported in residue mode")
     slope = alpha.p.derivative()
+    if numeric:
+        def residues(x):
+            y = complex(omega.curve.f(x)) ** 0.5
+            return [(omega.q(x) + sign * omega.r(x) * y) / (slope(x) * sign * y) for sign in (1, -1)]
+
+        return _float_values(residues, xs)
     out = []
     for x in xs:
-        if numeric:
-            y = complex(omega.curve.f(x)) ** 0.5
-            for sign in (1, -1):
-                out.append((omega.q(x) + sign * omega.r(x) * y) / (slope(x) * sign * y))
-            continue
         disc = omega.curve.f(x)
         rational = omega.r(x) / slope(x)
         radical = omega.q(x) / (disc * slope(x))

@@ -26,6 +26,9 @@ Shapes:
 
 Hyperelliptic polynomial coefficient lists are ascending: [c0, c1, ...]
 encodes c0 + c1*x + ...
+
+Each decoder imports the layer whose objects it builds, so decoding one
+shape loads no other layer; the encoders only read attributes.
 """
 
 from __future__ import annotations
@@ -33,13 +36,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isfinite
 
-from .covers import BranchedTorusCover, Origami, Permutation
-from .curve_algebra import Differential, HyperellipticCurve, PlaneQuartic, QuadDifferential
 from .errors import DomainError, FormatError
-from .exact import GaussianRational, QuadraticNumber, format_rational, parse_rational
-from .polynomials import Polynomial, TernaryForm
-from .realizability import CohomologyClass, PlanarLattice
-from .symplectic_lattice import NormalForm, SpMatrix, Sublattice
+from .exact import GaussianRational, format_rational, parse_rational
 
 
 def _expect(condition, message):
@@ -90,6 +88,8 @@ def encode_gaussian(z: GaussianRational):
 
 
 def decode_class(obj) -> CohomologyClass:
+    from .realizability import CohomologyClass
+
     genus = as_int(require_field(obj, "genus", "class"), "genus")
     periods = [decode_gaussian(p) for p in as_sequence(require_field(obj, "periods", "class"), "periods")]
     return CohomologyClass(genus, periods)
@@ -133,6 +133,8 @@ def decode_int_vector(obj, what="vector"):
 
 
 def decode_sublattice(obj) -> Sublattice:
+    from .symplectic_lattice import Sublattice
+
     genus = as_int(require_field(obj, "genus", "sublattice"), "genus")
     vectors = [decode_int_vector(v) for v in as_sequence(require_field(obj, "vectors", "sublattice"), "vectors")]
     return Sublattice(vectors, genus=genus)
@@ -143,6 +145,8 @@ def encode_sublattice(lattice: Sublattice):
 
 
 def decode_permutation(obj, what="permutation") -> Permutation:
+    from .covers import Permutation
+
     images = [as_int(x, what + " image") for x in as_sequence(obj, what)]
     _expect(images, "%s must be nonempty" % what)
     _expect(sorted(images) == list(range(len(images))), "%s must list the images of 0..%d exactly once" % (what, len(images) - 1))
@@ -154,12 +158,16 @@ def encode_permutation(p: Permutation):
 
 
 def decode_origami(obj) -> Origami:
+    from .covers import Origami
+
     h = decode_permutation(require_field(obj, "horizontal", "origami"), "horizontal")
     v = decode_permutation(require_field(obj, "vertical", "origami"), "vertical")
     return Origami(h, v)
 
 
 def decode_cover(obj) -> BranchedTorusCover:
+    from .covers import BranchedTorusCover
+
     a = decode_permutation(require_field(obj, "a", "cover"), "a")
     b = decode_permutation(require_field(obj, "b", "cover"), "b")
     branch_obj = as_mapping(obj, "cover").get("branch", [])
@@ -176,6 +184,9 @@ def encode_cover(cover: BranchedTorusCover):
 
 
 def decode_curve(obj):
+    from .curve_algebra import HyperellipticCurve, PlaneQuartic
+    from .polynomials import Polynomial, TernaryForm
+
     kind = require_field(obj, "kind", "curve")
     if kind == "hyperelliptic":
         coeffs = [decode_rational(c, "f coefficient") for c in as_sequence(require_field(obj, "f", "curve"), "f")]
@@ -197,6 +208,9 @@ def decode_curve(obj):
 
 
 def decode_differential(curve, obj, what="differential") -> Differential:
+    from .curve_algebra import Differential, PlaneQuartic
+    from .polynomials import Polynomial
+
     coeffs = [decode_rational(c, what + " coefficient") for c in as_sequence(obj, what)]
     if isinstance(curve, PlaneQuartic):
         _expect(len(coeffs) == 3, "%s on a quartic is [a, b, c] of a linear form, got %d entries" % (what, len(coeffs)))
@@ -205,6 +219,9 @@ def decode_differential(curve, obj, what="differential") -> Differential:
 
 
 def decode_quad_differential(curve, obj) -> QuadDifferential:
+    from .curve_algebra import QuadDifferential
+    from .polynomials import Polynomial
+
     q = [decode_rational(c, "q coefficient") for c in as_sequence(require_field(obj, "q", "quadratic differential"), "q")]
     r_obj = as_mapping(obj, "quadratic differential").get("r", [])
     r = [decode_rational(c, "r coefficient") for c in as_sequence(r_obj, "r")]

@@ -377,12 +377,14 @@ def test_curve_domain_errors_exit_1(capsys):
     assert "singular" in err
 
 
-# Runs CLI calls in a fresh interpreter where importing one module fails,
-# and reports each exit code and stream plus the modules of that name loaded.
+# Runs CLI calls in a fresh interpreter where importing the blocked modules
+# fails, and reports each exit code and stream plus the blocked modules and
+# their submodules that loaded.
 WITHOUT_MODULE = r"""
 import contextlib, io, json, sys
-blocked = sys.argv[1]
-sys.modules[blocked] = None
+blocked = json.loads(sys.argv[1])
+for name in blocked:
+    sys.modules[name] = None
 from periodforms.cli import main
 report = []
 for argv in json.loads(sys.argv[2]):
@@ -390,8 +392,8 @@ for argv in json.loads(sys.argv[2]):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     report.append([code, out.getvalue(), err.getvalue()])
-loaded = [name for name, module in sys.modules.items()
-          if name.split(".")[0] == blocked and module is not None]
+loaded = [name for name, module in sys.modules.items() if module is not None
+          and any(name == b or name.startswith(b + ".") for b in blocked)]
 print(json.dumps({"calls": report, "loaded": loaded}))
 """
 
@@ -403,8 +405,8 @@ def src_env():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def run_without(module, calls):
-    done = subprocess.run([sys.executable, "-c", WITHOUT_MODULE, module, json.dumps(calls)],
+def run_without(modules, calls):
+    done = subprocess.run([sys.executable, "-c", WITHOUT_MODULE, json.dumps(modules), json.dumps(calls)],
                           capture_output=True, text=True, env=src_env(), timeout=60)
     assert "Traceback" not in done.stderr and done.returncode == 0
     report = json.loads(done.stdout)
@@ -420,12 +422,62 @@ def test_curve_commands_run_without_sympy():
          payload(curve=FERMAT, alpha=[1, 0, 0], beta=[0, 1, 0], gamma=[0, 0, 1])],
         ["curve", "noether", "--input", payload(curve=singular)],
     ]
-    report = run_without("sympy", calls)
+    report = run_without(["sympy"], calls)
     noether, cross, bad = report["calls"]
     assert noether[0] == 0 and json.loads(noether[1]) == {"noether_image_dim": 6}
     assert cross[0] == 0 and json.loads(cross[1])["matches"] is True
     assert bad[0] == 1 and "the quartic is singular" in bad[2]
     assert all("Traceback" not in err for _, _, err in report["calls"])
+
+
+def test_lattice_det_loads_no_curve_layer():
+    doc = payload(genus=3, vectors=[[1, 0, 0, 0, 0, 0], [0, 2, 1, 0, 0, 0]])
+    report = run_without(["periodforms.curve_algebra", "periodforms.polynomials"],
+                         [["lattice", "det", "--input", doc]])
+    assert report["calls"] == [[0, '{"determinant": 2}\n', ""]]
+
+
+def test_curve_overlap_loads_no_lattice_layer():
+    doc = payload(curve=GENUS2_CURVE, alpha=["-2", "1"], beta=["-3", "1"])
+    report = run_without(
+        ["periodforms.symplectic_lattice", "periodforms.realizability", "periodforms.covers"],
+        [["curve", "overlap", "--input", doc]],
+    )
+    assert report["calls"] == [[0, '{"overlap_degree": 0}\n', ""]]
+
+
+def test_cover_build_and_genus_load_no_lattice_layer():
+    calls = [["cover", "build", "--genus", "2", "--degree", "3"],
+             ["cover", "origami-genus", "--input", payload(horizontal=[1, 0], vertical=[0, 1])]]
+    report = run_without(["periodforms.symplectic_lattice", "periodforms.realizability"], calls)
+    assert report["calls"] == [
+        [0, '{"a": [1, 2, 0], "b": [0, 1, 2], "branch": [[1, 0, 2], [1, 0, 2]]}\n', ""],
+        [0, '{"genus": 1}\n', ""],
+    ]
+
+
+def test_malformed_json_loads_no_layer():
+    layers = ["periodforms." + name for name in (
+        "covers", "curve_algebra", "intlinalg", "jsonio", "polynomials", "realizability",
+        "symplectic_lattice")]
+    calls = [[*command, "--input", '{"genus": 2,'] for command in (
+        ["realizable", "line"], ["lattice", "det"], ["lattice", "map4"], ["cover", "analyze"],
+        ["curve", "classify"], ["curve", "sections"])]
+    report = run_without(layers, calls)
+    assert [code for code, _, _ in report["calls"]] == [2] * len(calls)
+    assert all(err.startswith("malformed input: invalid JSON") for _, _, err in report["calls"])
+
+
+def test_public_names_resolve_lazily():
+    import periodforms
+
+    namespace = {}
+    exec("from periodforms import *", namespace)
+    for name in periodforms.__all__:
+        assert getattr(periodforms, name) is namespace[name]
+    assert set(periodforms.__all__) <= set(dir(periodforms))
+    with pytest.raises(AttributeError, match="nope"):
+        periodforms.nope
 
 
 def test_dims_gap_prints_bare_integer(capsys):
@@ -487,7 +539,7 @@ def test_numeric_roots_without_numpy(capsys):
          payload(curve=FERMAT, alpha=[1, 0, 0], beta=[0, 1, 0], gamma=[0, 0, 1])],
         ["curve", "residues", "--input", residues],
     ]
-    report = run_without("numpy", calls)
+    report = run_without(["numpy"], calls)
     # the same calls in this interpreter, where numpy is importable
     assert report["calls"] == [list(run(capsys, *argv)) for argv in calls]
     *numeric, exact = report["calls"]
@@ -511,11 +563,19 @@ TOO_BIG = str(10**400)
          payload(curve=GENUS2_CURVE, gamma=[0, 1], beta=[1, 0], alpha=["-3", "1/" + TOO_BIG])],
         ["curve", "residues", "--numeric", "--input",
          payload(curve=GENUS2_CURVE, omega={"q": ["1"]}, alpha=["-3", "1/" + TOO_BIG])],
+        ["curve", "sections", "--numeric", "--input",
+         payload(curve=GENUS2_CURVE, gamma=[0, int(TOO_BIG)], beta=[1, 0], alpha=["-3", "1"])],
+        ["curve", "residues", "--numeric", "--input",
+         payload(curve=GENUS2_CURVE, omega={"q": [int(TOO_BIG)]}, alpha=["-3", "1"])],
+        ["curve", "residues", "--numeric", "--input",
+         payload(curve=GENUS2_CURVE, omega={"q": ["1"]}, alpha=["-3", "1/" + str(10**300)])],
     ],
 )
 def test_numeric_roots_outside_the_float_range_exit_1(capsys, argv):
-    # made monic, each alpha or restricted quartic has a nonzero coefficient
-    # that overflows or rounds to 0.0, so it has no floating-point roots
+    # made monic, each alpha or restricted quartic in the first four calls has
+    # a nonzero coefficient that overflows or rounds to 0.0, so it has no
+    # floating-point roots; in the next two, gamma and omega have one past the
+    # float range; in the last, f overflows at the root 3 * 10^300
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err == "error: the polynomial is not representable in floating point\n"

@@ -283,6 +283,31 @@ def test_cover_invariants_refuse_a_wrong_period_lattice(monkeypatch):
             cover_class_invariants(c)
 
 
+def test_origami_genus_refuses_an_odd_excess(monkeypatch):
+    o = Origami(Permutation([1, 0]), Permutation([0, 1]))
+    # a transposition as the commutator leaves one vertex on two squares
+    monkeypatch.setattr(covers, "commutator", lambda h, v: Permutation([1, 0]))
+    with pytest.raises(DomainError, match="commutator is always even"):
+        genus_of_origami(o)
+
+
+def test_branched_cover_genus_refuses_an_odd_branching_total(monkeypatch):
+    c = construct_cover(2, 4)
+    # the two simple branch points counted with 3 and 2 cycles
+    counts = iter([3, 2])
+    monkeypatch.setattr(Permutation, "cycle_count", lambda self: next(counts))
+    with pytest.raises(DomainError, match="branching parity is forced by the relation"):
+        genus_of_branched_cover(c)
+
+
+def test_period_lattice_refuses_a_disconnected_monodromy_graph(monkeypatch):
+    c = construct_cover(2, 4)
+    # every sheet mapped to itself: no edge leaves sheet 0
+    monkeypatch.setattr(Permutation, "__call__", lambda self, x: x)
+    with pytest.raises(DomainError, match="connectivity was checked at construction"):
+        period_lattice_of_cover(c)
+
+
 def test_construct_cover_grid():
     for g in range(2, 6):
         for d in range(2, 9):
