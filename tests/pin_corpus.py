@@ -1,5 +1,6 @@
 """Seeded corpus of every library output that goes through rational_kernel
-or rational_solve, pinned by digest.
+or rational_solve, and of every multiplication-map dimension and verdict,
+pinned by digest.
 
 Each family is a fixed, seeded list of calls.  A call is rendered as one
 line, "<call> -> <output>", with Fractions written p/q and errors written
@@ -28,7 +29,14 @@ from periodforms.curve_algebra import (
     HyperellipticCurve,
     PlaneQuartic,
     TauSubspace,
+    classify,
+    dividend_dim,
+    isoperiodic_deformation_dim,
+    multiplication_rank,
+    noether_image_dim,
+    obscurant_dim,
     obscurant_kernel,
+    overlap_degree,
 )
 from periodforms.errors import DomainError
 from periodforms.exact import GaussianRational
@@ -146,6 +154,25 @@ def _form(rng, degree):
     return Polynomial(coeffs + [rng.choice([1, -1, Fraction(1, 2), 3])])
 
 
+def _hyperelliptic_tau(rng, curve, size, top, shared):
+    """size independent forms of degree <= top on curve, sharing a common
+    factor of positive degree when shared."""
+    genus = curve.genus
+    while True:
+        if shared:
+            # a common factor h of positive degree; its multiples of degree
+            # <= g - 1 span g - deg h dimensions
+            h = _form(rng, rng.randint(1, genus - size))
+            forms = [h * _form(rng, rng.randint(0, genus - 1 - h.degree))
+                     for _ in range(size)]
+        else:
+            forms = [_form(rng, rng.randint(0, top)) for _ in range(size)]
+        try:
+            return forms, TauSubspace([Differential(curve, p) for p in forms])
+        except DomainError:
+            continue
+
+
 def hyperelliptic_obscurant_calls(rng):
     """Pairs and triples at genus 2-8; forms of degree below g - 1 and
     forms sharing a common factor."""
@@ -153,20 +180,8 @@ def hyperelliptic_obscurant_calls(rng):
         curve = _hyperelliptic_curve(rng, genus)
         for trial in range(6):
             size = 2 if genus == 2 or trial % 2 == 0 else 3
-            while True:
-                if trial % 3 == 2 and genus > size:
-                    # a common factor h of positive degree; its multiples
-                    # of degree <= g - 1 span g - deg h dimensions
-                    h = _form(rng, rng.randint(1, genus - size))
-                    forms = [h * _form(rng, rng.randint(0, genus - 1 - h.degree))
-                             for _ in range(size)]
-                else:
-                    forms = [_form(rng, rng.randint(0, genus - 1)) for _ in range(size)]
-                try:
-                    tau = TauSubspace([Differential(curve, p) for p in forms])
-                    break
-                except DomainError:
-                    continue
+            shared = trial % 3 == 2 and genus > size
+            forms, tau = _hyperelliptic_tau(rng, curve, size, genus - 1, shared)
             call = "obscurant_kernel(g=%d, %s)" % (genus, render([list(p.coeffs) for p in forms]))
             yield call, outcome(obscurant_kernel, tau)
 
@@ -187,20 +202,62 @@ def _smooth_quartic(rng):
     return PlaneQuartic(form)
 
 
+def _quartic_tau(rng, quartic, size):
+    while True:
+        lines = [tuple(rng.choice([0, rng.randint(-5, 5), rng_fraction(rng, 7, 5)])
+                       for _ in range(3)) for _ in range(size)]
+        try:
+            return lines, TauSubspace([Differential(quartic, line) for line in lines])
+        except DomainError:
+            continue
+
+
 def quartic_obscurant_calls(rng):
     for _ in range(4):
         quartic = _smooth_quartic(rng)
         for size in (2, 2, 3, 3):
-            while True:
-                lines = [tuple(rng.choice([0, rng.randint(-5, 5), rng_fraction(rng, 7, 5)])
-                               for _ in range(3)) for _ in range(size)]
-                try:
-                    tau = TauSubspace([Differential(quartic, line) for line in lines])
-                    break
-                except DomainError:
-                    continue
+            lines, tau = _quartic_tau(rng, quartic, size)
             call = "obscurant_kernel(%s, %s)" % (render(quartic.form.coeffs), render(lines))
             yield call, outcome(obscurant_kernel, tau)
+
+
+def _multiplication(tau):
+    out = {
+        "classify": classify(tau),
+        "obscurant_dim": obscurant_dim(tau),
+        "multiplication_rank": multiplication_rank(tau),
+        "isoperiodic_deformation_dim": isoperiodic_deformation_dim(tau),
+        "dividend_dim": [dividend_dim(d) for d in tau.differentials],
+    }
+    if tau.dimension == 2 and isinstance(tau.curve, HyperellipticCurve):
+        out["overlap_degree"] = overlap_degree(*tau.differentials)
+    return out
+
+
+def multiplication_calls(rng):
+    """Every dimension, rank and verdict of the multiplication map, with
+    the overlap of each hyperelliptic pair: pairs and triples at genus 2-9,
+    forms sharing a common factor, forms all of degree below g - 1 (a
+    common zero at infinity), and pairs and triples of lines on quartics."""
+    for genus in range(2, 10):
+        curve = _hyperelliptic_curve(rng, genus)
+        yield "noether_image_dim(g=%d)" % genus, outcome(noether_image_dim, curve)
+        for trial in range(8):
+            size = 2 if genus == 2 or trial % 2 == 0 else 3
+            shared = trial in (1, 2) and genus > size
+            # forms of degree <= g - 2 span g - 1 dimensions
+            top = genus - 2 if trial in (3, 4) and genus > size else genus - 1
+            forms, tau = _hyperelliptic_tau(rng, curve, size, top, shared)
+            call = "multiplication(g=%d, %s)" % (genus, render([list(p.coeffs) for p in forms]))
+            yield call, outcome(_multiplication, tau)
+    for _ in range(3):
+        quartic = _smooth_quartic(rng)
+        yield "noether_image_dim(%s)" % render(quartic.form.coeffs), outcome(
+            noether_image_dim, quartic)
+        for size in (2, 2, 3, 3):
+            lines, tau = _quartic_tau(rng, quartic, size)
+            call = "multiplication(%s, %s)" % (render(quartic.form.coeffs), render(lines))
+            yield call, outcome(_multiplication, tau)
 
 
 def _pair_witness(a, b):
@@ -274,6 +331,7 @@ FAMILIES = {
     "pair_witness": (14, pair_witness_calls),
     "torus_data": (15, torus_data_calls),
     "contains": (16, contains_calls),
+    "multiplication": (17, multiplication_calls),
 }
 
 
