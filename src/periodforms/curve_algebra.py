@@ -6,12 +6,14 @@ differentials split under (x, y) -> (x, -y) into an invariant part
 q(x) dx^2/y^2 with deg q <= 2g-2 and an anti-invariant part
 r(x) y dx^2/y^2 with deg r <= g-3.  On a smooth plane quartic the 1-forms
 are the linear forms of the plane and the quadratic differentials are the
-conics.  All dimension counts are exact rational linear algebra, and so is
-every verdict on degenerate input (repeated zeroes, beta vanishing at a
-zero of alpha, a constant quadruple).  Floating point only produces
-reported values, from roots found in pure Python by _numeric_roots: the
-quartic cross-ratios, and the section values and residues on explicit
-request for curves with irrational zero loci.
+conics.  Every dimension, rank and verdict of the multiplication map is a
+closed form in the degree of one gcd; only its kernel, the printed witness,
+is found by exact rational elimination.  Verdicts on degenerate input
+(repeated zeroes, beta vanishing at a zero of alpha, a constant quadruple)
+are exact too.  Floating point only produces reported values, from roots
+found in pure Python by _numeric_roots: the quartic cross-ratios, and the
+section values and residues on explicit request for curves with irrational
+zero loci.
 """
 
 from __future__ import annotations
@@ -252,45 +254,19 @@ class TauSubspace:
         return "TauSubspace(%r)" % (list(self.differentials),)
 
 
-def _one_form_basis(curve):
-    if isinstance(curve, HyperellipticCurve):
-        x = Polynomial.x()
-        return [x**k for k in range(curve.genus)]
-    return [
-        TernaryForm.linear(1, 0, 0),
-        TernaryForm.linear(0, 1, 0),
-        TernaryForm.linear(0, 0, 1),
-    ]
-
-
-def _product_coordinates(curve, a, b):
-    """The product of two 1-form representatives in coordinates on the
-    target of the multiplication map.
-
-    Hyperelliptic products are invariant, so the target coordinates are the
-    monomials x^0 .. x^(2g-2); for a quartic they are the six conics.
-    """
-    if isinstance(curve, HyperellipticCurve):
-        prod = a * b
-        return [prod.coefficient(k) for k in range(2 * curve.genus - 1)]
-    prod = a * b
-    return [prod.coefficient(m) for m in ternary_monomials(2)]
-
-
 def _multiplication_rows(tau):
     """Images of the product basis (tau_i times 1-form monomials) under the
-    multiplication map, one row per domain basis vector."""
+    multiplication map, one row per domain basis vector, over the monomials
+    x^0 .. x^(2g-2) of the invariant products or the six conics."""
     curve = tau.curve
-    basis = _one_form_basis(curve)
-    return [
-        _product_coordinates(curve, d.p, b) for d in tau.differentials for b in basis
-    ]
-
-
-def _multiplication_profile(tau):
-    """Rank and domain dimension of tau (x) H^0(K) -> H^0(K^2)."""
-    rows = _multiplication_rows(tau)
-    return rational_rank(rows), len(rows)
+    if isinstance(curve, HyperellipticCurve):
+        x = Polynomial.x()
+        basis, target = [x**k for k in range(curve.genus)], range(2 * curve.genus - 1)
+    else:
+        basis = [TernaryForm.linear(*row) for row in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        target = ternary_monomials(2)
+    products = [d.p * b for d in tau.differentials for b in basis]
+    return [[prod.coefficient(m) for m in target] for prod in products]
 
 
 def obscurant_kernel(tau: TauSubspace):
@@ -301,45 +277,58 @@ def obscurant_kernel(tau: TauSubspace):
     return rational_kernel(columns, width=len(rows))
 
 
+def _excess(ps, n):
+    """Degree of the gcd of nonzero binary forms p_i of degree n given as
+    polynomials in x: the affine gcd plus the common zero at infinity."""
+    shared = ps[0]
+    for p in ps[1:]:
+        shared = shared.gcd(p)
+    return shared.degree + n - max(p.degree for p in ps)
+
+
+def obscurant_dim(tau: TauSubspace) -> int:
+    """Dimension of the kernel of tau (x) H^0(K) -> H^0(K^2).
+
+    A 1-form p dx/y is a binary form of degree n = g - 1; let e be the
+    degree of the gcd h of tau's forms.  A pair h q_i has the kernel
+    {(c q_2, -c q_1) : deg c <= e}.  The syzygies of a triple over h are
+    free of rank two in degrees summing to n - e (Hilbert-Burch; the mu-basis
+    of Cox, Sederberg and Chen, CAGD 15, 1998), so 2(n+1) - (n-e) = g+1+e.
+    On a quartic two lines share no zero and three span H^0(K), mapped by
+    Sym^2 onto the conics."""
+    curve = tau.curve
+    if isinstance(curve, HyperellipticCurve):
+        e = _excess([d.p for d in tau.differentials], curve.genus - 1)
+        return e + 1 if tau.dimension == 2 else curve.genus + 1 + e
+    return 1 if tau.dimension == 2 else 3
+
+
 def multiplication_rank(tau: TauSubspace) -> int:
-    """Rank of tau (x) H^0(K) -> H^0(K^2)."""
-    return _multiplication_profile(tau)[0]
+    """Rank of tau (x) H^0(K) -> H^0(K^2), whose domain has dimension
+    dim tau times g."""
+    return tau.dimension * tau.curve.genus - obscurant_dim(tau)
 
 
 def dividend_dim(alpha: Differential) -> int:
     """Dimension of the space of quadratic differentials divisible by alpha.
 
-    Multiplication by a fixed nonzero 1-form is injective, so this always
-    comes out to the genus; it is still computed as an honest matrix rank.
-    """
+    Multiplication by a fixed nonzero 1-form is injective: the genus."""
     if alpha.is_zero():
         raise DomainError("zero differential")
-    curve = alpha.curve
-    rows = [_product_coordinates(curve, alpha.p, b) for b in _one_form_basis(curve)]
-    return rational_rank(rows)
-
-
-def obscurant_dim(tau: TauSubspace) -> int:
-    """Dimension of the kernel of tau (x) H^0(K) -> H^0(K^2)."""
-    rank, domain = _multiplication_profile(tau)
-    return domain - rank
+    return alpha.curve.genus
 
 
 def classify(tau: TauSubspace) -> str:
     """Split pairs and triples of 1-forms into COPRIME and LINKED.
 
-    A pair is coprime when the kernel of the multiplication map is the
-    alternating tensor alone; a triple when the kernel is three-dimensional
-    and the map is onto the (3g-3)-dimensional space of quadratic
-    differentials.
+    Coprime means the kernel of the multiplication map is the alternating
+    tensors alone, of dimension 1 for a pair and 3 for a triple; for a
+    triple, that is the map onto the 3g - 3 quadratic differentials.  So a
+    hyperelliptic triple is never coprime for g >= 3, its rank being at most
+    2g - 1, while pairs and triples of lines on a quartic always are.
     """
-    rank, domain = _multiplication_profile(tau)
-    kernel = domain - rank
-    if tau.dimension == 2:
-        return COPRIME if kernel == 1 else LINKED
-    if kernel == 3 and rank == 3 * tau.curve.genus - 3:
-        return COPRIME
-    return LINKED
+    alternating = 1 if tau.dimension == 2 else 3
+    return COPRIME if obscurant_dim(tau) == alternating else LINKED
 
 
 def overlap_degree(alpha: Differential, beta: Differential) -> int:
@@ -358,11 +347,7 @@ def overlap_degree(alpha: Differential, beta: Differential) -> int:
         raise DomainError("overlap is defined on hyperelliptic curves")
     if alpha.curve != beta.curve:
         raise DomainError("differentials must lie on one curve")
-    g = alpha.curve.genus
-    shared = alpha.p.gcd(beta.p)
-    affine = 2 * max(shared.degree, 0)
-    infinite = 2 * (g - 1 - max(alpha.p.degree, beta.p.degree))
-    return affine + infinite
+    return 2 * _excess([alpha.p, beta.p], alpha.curve.genus - 1)
 
 
 def veronese_linked_pair(curve: HyperellipticCurve, a, b, d) -> TauSubspace:
@@ -388,21 +373,14 @@ def isoperiodic_deformation_dim(tau: TauSubspace) -> int:
     """Dimension of the space of first-order deformations of the curve
     preserving every period of the forms in tau: the full deformation
     space less the rank of the multiplication map."""
-    rank, _ = _multiplication_profile(tau)
-    g = tau.curve.genus
-    return (3 * g - 3) - rank
+    return (3 * tau.curve.genus - 3) - multiplication_rank(tau)
 
 
 def noether_image_dim(curve) -> int:
-    """Rank of Sym^2 H^0(K) -> H^0(K^2): 2g-1 on hyperelliptic curves,
-    the full 3g-3 = 6 on smooth quartics."""
-    basis = _one_form_basis(curve)
-    rows = [
-        _product_coordinates(curve, basis[i], basis[j])
-        for i in range(len(basis))
-        for j in range(i, len(basis))
-    ]
-    return rational_rank(rows)
+    """Rank of Sym^2 H^0(K) -> H^0(K^2): 2g-1 on hyperelliptic curves, where
+    the x^i x^j are the monomials of degree <= 2g-2, and 3g-3 = 6 on smooth
+    quartics, where the products of lines span the conics."""
+    return 2 * curve.genus - 1 if isinstance(curve, HyperellipticCurve) else 6
 
 
 def _numeric_roots(p):

@@ -321,21 +321,17 @@ def rational_kernel(rows, width=None):
 def rational_solve(rows, rhs):
     """Solve A x = rhs exactly; raises DomainError if inconsistent.
 
-    The right-hand side rides along as an extra column, so a pivot there
-    means no solution.  When the system is underdetermined, returns the
-    solution with free variables set to zero.
+    The last kernel vector of [A | -rhs] is 1 in the last column and 0 at
+    the free variables of A: the solution with those set to zero.  When the
+    last column is a pivot, every kernel vector is 0 there: no solution.
     """
     if len(rhs) != len(rows):
         raise DomainError("right-hand side length does not match the rows")
     n = len(rows[0]) if rows else 0
-    augmented = clear_denominators([list(r) + [b] for r, b in zip(rows, rhs)])[0]
-    a, pivots, d = _bareiss(augmented, reduce=True)
-    if pivots and pivots[-1] == n:
+    kernel = rational_kernel([list(r) + [-b] for r, b in zip(rows, rhs)], width=n + 1)
+    if not kernel or kernel[-1][n] != 1:
         raise DomainError("inconsistent linear system")
-    x = [Fraction(0)] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = Fraction(a[r][n], d)
-    return x
+    return kernel[-1][:n]
 
 
 # ---------------------------------------------------------------------------

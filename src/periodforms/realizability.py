@@ -254,13 +254,15 @@ def is_realizable_line(c: CohomologyClass) -> RealizabilityVerdict:
     )
 
 
-def line_verdict_from_floats(
-    genus, periods, tolerance=1e-9, max_denominator=10**4
-) -> RealizabilityVerdict:
+# float periods are snapped to rationals with at most this denominator
+_MAX_DENOMINATOR = 10**4
+
+
+def line_verdict_from_floats(genus, periods, tolerance=1e-9) -> RealizabilityVerdict:
     """Heuristic decision for float periods.
 
     Each period is snapped to the nearest rational with denominator at most
-    max_denominator; if all of them land within tolerance the exact decision
+    _MAX_DENOMINATOR; if all of them land within tolerance the exact decision
     runs on the reconstruction.  Otherwise the group is presumed dense and
     the verdict says so rather than posing as a decision.
     """
@@ -275,8 +277,8 @@ def line_verdict_from_floats(
     recon = []
     exact = True
     for z in values:
-        re = Fraction(z.real).limit_denominator(max_denominator)
-        im = Fraction(z.imag).limit_denominator(max_denominator)
+        re = Fraction(z.real).limit_denominator(_MAX_DENOMINATOR)
+        im = Fraction(z.imag).limit_denominator(_MAX_DENOMINATOR)
         if abs(float(re) - z.real) > tolerance or abs(float(im) - z.imag) > tolerance:
             exact = False
             break

@@ -408,11 +408,14 @@ def _reduce_rank2_to_canonical(lattice: Sublattice):
     nf = alternating_normal_form(lattice)
     d = nf.divisors[0]
     x, y = nf.basis.vectors
-    assert is_indivisible(x), "adapted basis of a complete lattice is primitive"
+    # explicit checks, so they still run under python -O
+    if not is_indivisible(x):
+        raise DomainError("adapted basis of a complete lattice is primitive")
     a1 = extend_to_symplectic_basis(x, g)
     r = a1.inverse()
     y1 = r.apply(y)
-    assert y1[1] == d, "pairing with e0 must equal the divisor"
+    if y1[1] != d:
+        raise DomainError("pairing with e0 must equal the divisor")
     z = list(y1[2:])
     if is_zero_vec(z):
         if d != 1:
@@ -515,12 +518,13 @@ def _reduce_rank4_to_canonical(lattice: Sublattice) -> SpMatrix:
     ra, _ = _reduce_rank2_to_canonical(q)
     vx2 = ra.apply(x2)
     vy2 = ra.apply(y2)
-    assert vx2[0] == vx2[1] == vy2[0] == vy2[1] == 0, (
-        "second factor must land in the complement of e0, f0"
-    )
+    # explicit checks, so they still run under python -O
+    if any(vx2[:2]) or any(vy2[:2]):
+        raise DomainError("second factor must land in the complement of e0, f0")
     factor = Sublattice([vx2[2:], vy2[2:]], genus=g - 1)
     if not is_complete(factor):
         raise DomainError("sublattice not complete")
     rq, dq = _reduce_rank2_to_canonical(factor)
-    assert dq == nf.divisors[1]
+    if dq != nf.divisors[1]:
+        raise DomainError("second factor's divisor must equal the second invariant factor")
     return _embed_reduced(rq, g).compose(ra)

@@ -1,5 +1,8 @@
 import cmath
+import json
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
 
@@ -20,8 +23,10 @@ from periodforms.curve_algebra import (
     classify,
     dividend_dim,
     isoperiodic_deformation_dim,
+    multiplication_rank,
     noether_image_dim,
     obscurant_dim,
+    obscurant_kernel,
     overlap_degree,
     quartic_cross_ratio,
     residues_of_quotient,
@@ -30,7 +35,9 @@ from periodforms.curve_algebra import (
 )
 from periodforms.errors import DomainError
 from periodforms.exact import quadratic_sum
+from periodforms.intlinalg import rational_rank
 from periodforms.polynomials import Polynomial, TernaryForm, ternary_monomials
+from test_cli import src_env
 
 X = Polynomial.x()
 
@@ -78,6 +85,18 @@ def pair_kernel_closed_form(curve, d1, d2):
     # one built from p2/gcd and p1/gcd, truncated by the degree bound.
     shared = d1.p.gcd(d2.p)
     return curve.genus - max(d1.p.degree, d2.p.degree) + max(shared.degree, 0)
+
+
+def product_rows(curve, forms):
+    """The matrix of the multiplication map, independent of curve_algebra:
+    one row per form times basis 1-form, over the target monomials.  On a
+    hyperelliptic curve the product with x^k shifts the coefficients by k."""
+    if isinstance(curve, HyperellipticCurve):
+        g = curve.genus
+        return [[F(0)] * k + [p.coefficient(m) for m in range(g)] + [F(0)] * (g - 1 - k)
+                for p in forms for k in range(g)]
+    lines = [TernaryForm.linear(*e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    return [[(p * b).coefficient(m) for m in ternary_monomials(2)] for p in forms for b in lines]
 
 
 def hyperelliptic(roots, lead=1):
@@ -273,7 +292,10 @@ def test_dividend_dim_is_genus_on_random_input():
     for _ in range(25):
         curve = random_curve(rng, rng.randint(2, 5), odd=rng.random() < 0.5)
         alpha = random_differential(rng, curve, rng.randint(0, curve.genus - 1))
-        assert dividend_dim(alpha) == curve.genus
+        assert dividend_dim(alpha) == rational_rank(product_rows(curve, [alpha.p])) == curve.genus
+    for _ in range(10):
+        alpha = Differential(FERMAT, random_line(rng))
+        assert dividend_dim(alpha) == rational_rank(product_rows(FERMAT, [alpha.p])) == 3
 
 
 def test_obscurant_worked_examples():
@@ -328,6 +350,92 @@ def test_pair_obscurant_matches_closed_form():
                 continue
         assert obscurant_dim(tau) == pair_kernel_closed_form(curve, d1, d2)
         assert obscurant_dim(tau) >= 1
+
+
+COEFFICIENTS = st.one_of(st.just(F(0)), st.fractions(-6, 6, max_denominator=4))
+QUARTICS = (FERMAT, FLEXED, random_quartic(random.Random(6)))
+
+
+@st.composite
+def hyperelliptic_taus(draw):
+    """Pairs and triples at genus 2-9 whose forms share a factor of degree
+    s and all have degree <= top <= g - 1 (top < g - 1: a common zero at
+    infinity); zero coefficients give more shared roots at x = 0."""
+    genus = draw(st.integers(2, 9))
+    size = draw(st.sampled_from([2, 3] if genus > 2 else [2]))
+    # forms h q_i with deg q_i <= top - s span top - s + 1 >= size dimensions
+    top = draw(st.integers(size - 1, genus - 1))
+    s = draw(st.integers(0, top - size + 1))
+    roots = draw(st.lists(st.integers(-30, 30), min_size=2 * genus + 1,
+                          max_size=2 * genus + 2, unique=True))
+    curve = HyperellipticCurve(Polynomial.from_roots(roots))
+    h = Polynomial(draw(st.lists(COEFFICIENTS, min_size=s, max_size=s)) + [1])
+    forms = [h * Polynomial(draw(st.lists(COEFFICIENTS, min_size=top - s + 1,
+                                          max_size=top - s + 1)))
+             for _ in range(size)]
+    try:
+        return TauSubspace([Differential(curve, p) for p in forms])
+    except DomainError:
+        assume(False)
+
+
+@st.composite
+def quartic_taus(draw):
+    quartic = draw(st.sampled_from(QUARTICS))
+    lines = draw(st.lists(st.tuples(COEFFICIENTS, COEFFICIENTS, COEFFICIENTS),
+                          min_size=2, max_size=3))
+    try:
+        return TauSubspace([Differential(quartic, line) for line in lines])
+    except DomainError:
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(hyperelliptic_taus(), quartic_taus()))
+def test_multiplication_dimensions_match_the_product_matrix(tau):
+    curve = tau.curve
+    g = curve.genus
+    rank = rational_rank(product_rows(curve, [d.p for d in tau.differentials]))
+    assert multiplication_rank(tau) == rank
+    assert obscurant_dim(tau) == len(obscurant_kernel(tau)) == tau.dimension * g - rank
+    assert isoperiodic_deformation_dim(tau) == 3 * g - 3 - rank
+    hyper = isinstance(curve, HyperellipticCurve)
+    if tau.dimension == 2 and hyper:
+        # a pair is coprime exactly when its forms share no zero
+        assert (classify(tau) == COPRIME) == (overlap_degree(*tau.differentials) == 0)
+    else:
+        # hyperelliptic triples are linked; quartic pairs and triples coprime
+        assert classify(tau) == (LINKED if hyper else COPRIME)
+
+
+GENUS_41_CHILD = """
+import json, sys
+from periodforms.curve_algebra import (Differential, HyperellipticCurve, TauSubspace, classify,
+    isoperiodic_deformation_dim, multiplication_rank, obscurant_dim)
+from periodforms.polynomials import Polynomial
+f, alpha, beta = (Polynomial(p) for p in json.loads(sys.argv[1]))
+curve = HyperellipticCurve(f)
+tau = TauSubspace([Differential(curve, alpha), Differential(curve, beta)])
+calls = (classify, obscurant_dim, multiplication_rank, isoperiodic_deformation_dim)
+print(json.dumps([call(tau) for call in calls]))
+"""
+
+
+def test_multiplication_dimensions_at_genus_41_finish():
+    # the input of test_curve_overlap_at_genus_41_finishes; eliminating the
+    # 82 x 81 product matrix took over 40 s for classify alone
+    rng = random.Random(41)
+    f = [str(rng.randint(-9, 9)) for _ in range(84)] + ["1"]
+
+    def rational(n):
+        return ["%d/%d" % (rng.randint(-999, 999), rng.randint(1, 999)) for _ in range(n)]
+
+    polys = json.dumps([f, rational(41), rational(40)])
+    done = subprocess.run([sys.executable, "-c", GENUS_41_CHILD, polys],
+                          capture_output=True, text=True, env=src_env(), timeout=10)
+    assert done.returncode == 0, done.stderr
+    # coprime forms of degree g - 1: kernel 1, rank 2g - 1, (3g - 3) - rank
+    assert json.loads(done.stdout) == [COPRIME, 1, 81, 39]
 
 
 # ------------------------------------------------------------ classify
@@ -479,12 +587,17 @@ def test_isoperiodic_dimensions():
 
 
 def test_noether_image_dims():
-    for genus, odd in ((3, False), (4, True), (5, False), (6, True)):
+    # the products of the basis 1-forms with each other span the image
+    for genus, odd in ((2, True), (3, False), (4, True), (5, False), (6, True), (9, False)):
         curve = random_curve(random.Random(genus), genus, odd=odd)
+        basis = [X**k for k in range(genus)]
+        assert noether_image_dim(curve) == rational_rank(product_rows(curve, basis))
         assert noether_image_dim(curve) == 2 * genus - 1
         # invariant plus anti-invariant bookkeeping fills H^0(K^2)
         assert (2 * genus - 1) + (genus - 2) == 3 * genus - 3
-    assert noether_image_dim(FERMAT) == 6
+    lines = [TernaryForm.linear(*e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    for quartic in (FERMAT, FLEXED, random_quartic(random.Random(5))):
+        assert noether_image_dim(quartic) == rational_rank(product_rows(quartic, lines)) == 6
 
 
 # -------------------------------------------------------------- sections

@@ -22,6 +22,7 @@ from periodforms.intlinalg import (
     transpose,
 )
 from periodforms.symplectic_lattice import (
+    NormalForm,
     SpMatrix,
     Sublattice,
     _embed_reduced,
@@ -829,3 +830,61 @@ def test_integer_kernel_is_saturated():
             from periodforms.intlinalg import saturate_rows
 
             assert mat_eq(sat, saturate_rows([list(v) for v in ker], n))
+
+
+def broken_normal_form(monkeypatch, rank, breaks):
+    """alternating_normal_form, except that breaks(divisors, vectors) edits
+    its result on lattices of the given rank."""
+    real = symplectic_lattice.alternating_normal_form
+
+    def patched(lattice):
+        nf = real(lattice)
+        if lattice.rank != rank:
+            return nf
+        divisors, vectors = list(nf.divisors), [list(v) for v in nf.basis.vectors]
+        breaks(divisors, vectors)
+        return NormalForm(divisors, Sublattice(vectors, genus=lattice.genus), nf.change)
+
+    monkeypatch.setattr(symplectic_lattice, "alternating_normal_form", patched)
+
+
+RANK2 = Sublattice([[1, 0, 0, 0], [0, 2, 1, 0]])
+
+
+def test_rank2_reduction_refuses_a_divisible_adapted_vector(monkeypatch):
+    def breaks(divisors, vectors):
+        vectors[0] = [2 * t for t in vectors[0]]
+
+    broken_normal_form(monkeypatch, 2, breaks)
+    with pytest.raises(DomainError, match="adapted basis of a complete lattice is primitive"):
+        map_rank2_sublattice(RANK2, RANK2)
+
+
+def test_rank2_reduction_refuses_a_wrong_divisor(monkeypatch):
+    def breaks(divisors, vectors):
+        divisors[0] += 1
+
+    broken_normal_form(monkeypatch, 2, breaks)
+    with pytest.raises(DomainError, match="pairing with e0 must equal the divisor"):
+        map_rank2_sublattice(RANK2, RANK2)
+
+
+def test_rank4_reduction_refuses_a_second_factor_off_the_complement(monkeypatch):
+    def breaks(divisors, vectors):
+        # x2 + x1 pairs like x2 with the second block but moves onto e0
+        vectors[2] = [a + b for a, b in zip(vectors[2], vectors[0])]
+
+    u = random_complete_rank4(3, 2, random.Random(202))
+    broken_normal_form(monkeypatch, 4, breaks)
+    with pytest.raises(DomainError, match="second factor must land in the complement of e0, f0"):
+        map_rank4_sublattice(u, u)
+
+
+def test_rank4_reduction_refuses_a_wrong_second_divisor(monkeypatch):
+    def breaks(divisors, vectors):
+        divisors[1] += 1
+
+    u = random_complete_rank4(3, 2, random.Random(202))
+    broken_normal_form(monkeypatch, 4, breaks)
+    with pytest.raises(DomainError, match="second factor's divisor must equal the second invariant factor"):
+        map_rank4_sublattice(u, u)
