@@ -1,6 +1,7 @@
 """Seeded corpus of every library output that goes through rational_kernel
-or rational_solve, and of every multiplication-map dimension and verdict,
-pinned by digest.
+or rational_solve, of every multiplication-map dimension and verdict, and
+of the saturations, lattice invariants and line verdicts behind the
+periods path, pinned by digest.
 
 Each family is a fixed, seeded list of calls.  A call is rendered as one
 line, "<call> -> <output>", with Fractions written p/q and errors written
@@ -40,15 +41,24 @@ from periodforms.curve_algebra import (
 )
 from periodforms.errors import DomainError
 from periodforms.exact import GaussianRational
-from periodforms.intlinalg import rational_kernel, rational_solve
+from periodforms.intlinalg import clear_denominators, rational_kernel, rational_solve, saturate_rows
 from periodforms.polynomials import Polynomial, TernaryForm
 from periodforms.realizability import (
     CohomologyClass,
     area,
     is_realizable_elliptic_pair,
+    is_realizable_line,
     torus_data,
 )
-from periodforms.symplectic_lattice import Sublattice, omega
+from periodforms.symplectic_lattice import (
+    Sublattice,
+    alternating_normal_form,
+    determinant,
+    extend_to_symplectic_basis,
+    is_complete,
+    omega,
+    saturate,
+)
 
 PIN_FILE = Path(__file__).with_name("pin_corpus.json")
 
@@ -324,6 +334,105 @@ def contains_calls(rng):
         yield "contains(%s, %s)" % (render(vectors), render(probes)), results
 
 
+def _saturation_rows(rng, n):
+    """Rows of width n of one kind: dependent, with zero rows, of full rank,
+    scaled by a common index, or mixed by a matrix of index above 1."""
+    kind = rng.choice(["dependent", "zero", "full", "scaled", "index"])
+    m = rng.randint(1, n if kind == "full" else min(n + 1, 5))
+    rows = [[rng.choice([0, rng.randint(-5, 5), rng.randint(-40, 40)]) for _ in range(n)]
+            for _ in range(m)]
+    if kind == "dependent" and m > 1:
+        i, j = rng.sample(range(m), 2)
+        rows[i] = [rng.randint(-3, 3) * x + rng.randint(-3, 3) * y for x, y in zip(rows[i], rows[j])]
+        rows.append([2 * x - y for x, y in zip(rows[0], rows[-1])])
+    elif kind == "zero":
+        rows.insert(rng.randint(0, m), [0] * n)
+    elif kind == "scaled":
+        k = rng.choice([2, 3, 6, 12, 35])
+        rows = [[k * x for x in row] for row in rows]
+    elif kind == "index":
+        # lower triangular with diagonal 1, ..., 1, k: the rows' lattice
+        # has index k in the span of the old rows
+        k = rng.choice([2, 4, 15])
+        mix = [[rng.randint(-2, 2) if j < i else int(i == j) for j in range(m)] for i in range(m)]
+        mix[-1][-1] = k
+        rows = [[sum(c * row[t] for c, row in zip(coeffs, rows)) for t in range(n)] for coeffs in mix]
+    return kind, rows
+
+
+def _invariants(lattice):
+    out = {"complete": is_complete(lattice)}
+    if lattice.rank % 2 == 0:
+        out["det"] = outcome(determinant, lattice)
+        out["divisors"] = outcome(lambda: alternating_normal_form(lattice).divisors)
+    return out
+
+
+def _saturated(lattice):
+    sat = saturate(lattice)
+    return {"vectors": sat.vectors, "of_input": _invariants(lattice), "of_saturation": _invariants(sat)}
+
+
+def _line(c):
+    v = is_realizable_line(c)
+    return {"det": v.det, "covolume": v.covolume, "area": v.area, "realizable": v.realizable,
+            "reason": v.reason}
+
+
+def _class_span(classes):
+    rows = []
+    for c in classes:
+        rows += [c.re_vector(), c.im_vector()]
+    return Sublattice(clear_denominators(rows)[0])
+
+
+def lattice_calls(rng):
+    """saturate_rows on dependent, zero, full-rank and index-scaled rows of
+    width 1-12 and on no rows with a width; saturate, is_complete,
+    determinant and the normal-form divisors on line and pair spans and on
+    sublattices of rank 1-6; line verdicts; Sp(2g, Z) extensions of
+    primitive vectors."""
+    for width in (1, 2, 5):
+        yield "saturate_rows([], %d)" % width, outcome(saturate_rows, [], width)
+    yield "saturate_rows([])", outcome(saturate_rows, [])
+    for _ in range(80):
+        n = rng.randint(1, 12)
+        kind, rows = _saturation_rows(rng, n)
+        yield "saturate_rows(%s, %s)" % (kind, render(rows)), outcome(saturate_rows, rows, n)
+    for _ in range(20):
+        genus = rng.randint(2, 4)
+        n = 2 * genus
+        rank = rng.randint(1, min(6, n))
+        while True:
+            k = rng.choice([1, 2, 3])
+            vectors = [[k * rng.randint(-4, 4) for _ in range(n)] for _ in range(rank)]
+            try:
+                lattice = Sublattice(vectors, genus=genus)
+                break
+            except DomainError:
+                continue
+        yield "saturate(%s)" % render(vectors), outcome(_saturated, lattice)
+    for genus in range(2, 6):
+        for _ in range(4):
+            periods = [GaussianRational(rng_fraction(rng, 9, 4), rng_fraction(rng, 9, 4))
+                       for _ in range(2 * genus)]
+            c = CohomologyClass(genus, periods)
+            yield "line_span(%s)" % render(c.periods), outcome(lambda: _saturated(_class_span([c])))
+            yield "is_realizable_line(%s)" % render(c.periods), outcome(_line, c)
+            yield "is_realizable_line(conj %s)" % render(c.periods), outcome(_line, c.conjugate())
+    for genus in range(2, 6):
+        for _ in range(3):
+            d = 1 if genus == 2 else rng.randint(1, 6)
+            a, b = block_pair(rng, genus, d, rng.choice([1, Fraction(1, 2), GaussianRational(1, 2)]))
+            call = "pair_span(%s, %s)" % (render(a.periods), render(b.periods))
+            yield call, outcome(lambda: _saturated(_class_span([a, b])))
+    for genus in range(1, 4):
+        for _ in range(5):
+            v = [rng.randint(-9, 9) for _ in range(2 * genus)]
+            yield "extend_to_symplectic_basis(%s)" % render(v), outcome(
+                lambda: extend_to_symplectic_basis(v).entries)
+
+
 FAMILIES = {
     "rational_elim": (11, rational_elim_calls),
     "obscurant_hyperelliptic": (12, hyperelliptic_obscurant_calls),
@@ -332,6 +441,7 @@ FAMILIES = {
     "torus_data": (15, torus_data_calls),
     "contains": (16, contains_calls),
     "multiplication": (17, multiplication_calls),
+    "lattice": (18, lattice_calls),
 }
 
 

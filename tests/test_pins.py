@@ -1,6 +1,7 @@
-"""Every output that goes through rational_kernel or rational_solve, and
-every multiplication-map dimension and verdict, on a seeded corpus, against
-the digests in pin_corpus.json.  On a failure,
+"""Every output that goes through rational_kernel or rational_solve, every
+multiplication-map dimension and verdict, and the saturations, lattice
+invariants, line verdicts and Sp(2g, Z) extensions of the periods path, on
+a seeded corpus, against the digests in pin_corpus.json.  On a failure,
 `PYTHONPATH=src python tests/pin_corpus.py --check` names the first
 differing call of each family."""
 
