@@ -2,10 +2,11 @@
 
 Lattices are handled as lists of generator vectors (rows).  All integer
 routines use arbitrary-precision ints: Hermite forms, with or without their
-transform, come from one core, lll_reduce is the integral LLL, the rank
-over Z or Q, the integer determinant and the rational kernel and solve
-come from one fraction-free (Bareiss) elimination; Fractions appear only
-in the kernel and solve results.
+transform, come from one core, lll_reduce is the integral LLL, the
+saturation is one exact triangular solve between two Hermite forms, the
+rank over Z or Q, the integer determinant and the rational kernel and
+solve come from one fraction-free (Bareiss) elimination; Fractions appear
+only in the kernel and solve results.
 No floating point anywhere.
 """
 
@@ -215,14 +216,36 @@ def integer_kernel(rows, width=None):
 
 
 def saturate_rows(rows, width=None):
-    """Saturation of the row lattice: (Q-span of rows) intersect Z^n."""
+    """Saturation of the row lattice, (Q-span of rows) intersect Z^n, as
+    canonical Hermite-form rows.
+
+    Let A be the rows, of rank r, and C = row_hnf(A^T), r rows in Hermite
+    form with pivot columns p_0 < ... < p_(r-1).  The rows of C span the
+    column lattice of A, so A = B * S with B = C^T and S an integer r x n
+    matrix whose columns span Z^r: S is primitive, its rows span the
+    saturation.  Rows p_0, ... of B form a lower triangular matrix with the
+    positive pivots of C on its diagonal, so S comes from those rows of A
+    by one exact forward substitution, and the answer is row_hnf(S).
+    """
     if not rows and width is None:
         raise DomainError("saturation of an empty generator list needs a width")
-    n = width if width is not None else len(rows[0])
-    comp = integer_kernel(rows, n) if rows else identity(n)
-    if not comp:
-        return identity(n)
-    return integer_kernel(comp, n)
+    c = row_hnf(transpose(rows))
+    s = []
+    for i, ci in enumerate(c):
+        p = next(k for k, x in enumerate(ci) if x)
+        row = rows[p]
+        for j in range(i):
+            f = c[j][p]
+            if f:
+                row = [x - f * y for x, y in zip(row, s[j])]
+        d = ci[p]
+        if d != 1:
+            # an explicit check, so it still runs under python -O
+            if any(x % d for x in row):
+                raise DomainError("saturation: inexact triangular solve")
+            row = [x // d for x in row]
+        s.append(row)
+    return row_hnf(s)
 
 
 # ---------------------------------------------------------------------------

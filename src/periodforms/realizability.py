@@ -13,9 +13,6 @@ from fractions import Fraction
 
 from .errors import DomainError, check_output_size
 from .exact import GaussianRational, format_rational
-from .intlinalg import clear_denominators, integer_det, integer_rank
-from .intlinalg import rational_rank, rational_solve, row_hnf
-from .symplectic_lattice import Sublattice, determinant, omega, saturate
 
 
 class CohomologyClass:
@@ -181,10 +178,12 @@ class RealizabilityVerdict:
 
 def area(c: CohomologyClass) -> Fraction:
     """Signed area omega(Re c, Im c); positive for holomorphic orientation."""
+    from .symplectic_lattice import omega
     return omega(c.re_vector(), c.im_vector())
 
 
 def period_group(c: CohomologyClass) -> PlanarLattice:
+    from .intlinalg import clear_denominators, row_hnf
     rows = [[p.re, p.im] for p in c.periods if not p.is_zero()]
     if not rows:
         return PlanarLattice([])
@@ -201,6 +200,8 @@ def covolume(lattice: PlanarLattice) -> Fraction:
 
 
 def _real_span_lattice(classes):
+    from .intlinalg import clear_denominators
+    from .symplectic_lattice import Sublattice
     rows = []
     for c in classes:
         rows.append(c.re_vector())
@@ -210,6 +211,7 @@ def _real_span_lattice(classes):
 
 def line_determinant(c: CohomologyClass) -> int:
     """Determinant of the saturated integral span of Re c and Im c."""
+    from .symplectic_lattice import determinant, saturate
     return determinant(saturate(_real_span_lattice([c])))
 
 
@@ -307,6 +309,8 @@ def hodge_riemann_check(taus) -> bool:
     and h is positive definite exactly when S is: by Sylvester's
     criterion, when every leading principal minor of S is positive.
     """
+    from .intlinalg import clear_denominators, integer_det, integer_rank
+    from .symplectic_lattice import omega
     taus = list(taus)
     if not 1 <= len(taus) <= 3:
         raise DomainError("expected between 1 and 3 classes, got %d" % len(taus))
@@ -326,6 +330,7 @@ def hodge_riemann_check(taus) -> bool:
 
 def isotropy_check(a: CohomologyClass, b: CohomologyClass) -> bool:
     """omega(a, b) = 0, read off its real and imaginary parts."""
+    from .symplectic_lattice import omega
     if a.genus != b.genus:
         raise DomainError("classes live on surfaces of different genus")
     are, aim, bre, bim = a.re_vector(), a.im_vector(), b.re_vector(), b.im_vector()
@@ -363,6 +368,8 @@ def _splitting_witness(a, b, lattice):
     contains t.  So an exact pair is never simple.  "coefficients" are
     those of v in the basis of U.
     """
+    from .intlinalg import clear_denominators, rational_solve
+    from .symplectic_lattice import Sublattice, omega, saturate
     cols = [a.re_vector(), a.im_vector(), b.re_vector(), b.im_vector()]
     n = len(cols[0])
     # unknowns (xr, xi, yr, yi) for t = (xr + i xi) a + (yr + i yi) b,
@@ -392,6 +399,7 @@ def _splitting_witness(a, b, lattice):
 def is_realizable_elliptic_pair(
     a: CohomologyClass, b: CohomologyClass, assume_simple
 ) -> RealizabilityVerdict:
+    from .symplectic_lattice import determinant, saturate
     if a.genus != b.genus:
         raise DomainError("classes live on surfaces of different genus")
     genus = a.genus
@@ -458,6 +466,8 @@ def torus_data(taus):
     saturated lattice; its rows span a k-dimensional space meeting its
     conjugate trivially, which is checked.
     """
+    from .intlinalg import rational_rank, rational_solve
+    from .symplectic_lattice import saturate
     taus = list(taus)
     if len(taus) not in (1, 2):
         raise DomainError("expected 1 or 2 classes, got %d" % len(taus))

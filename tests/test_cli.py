@@ -456,6 +456,12 @@ def test_cover_build_and_genus_load_no_lattice_layer():
     ]
 
 
+def test_dims_gap_and_severi_load_no_lattice_layer():
+    calls = [["dims", "gap", "--g", "4", "--k", "4"], ["severi", "--det", "6"]]
+    report = run_without(["periodforms.symplectic_lattice", "periodforms.intlinalg"], calls)
+    assert report["calls"] == [[0, "1\n", ""], [0, "[[2, 2], [3, 1], [4, 0]]\n", ""]]
+
+
 def test_malformed_json_loads_no_layer():
     layers = ["periodforms." + name for name in (
         "covers", "curve_algebra", "intlinalg", "jsonio", "polynomials", "realizability",

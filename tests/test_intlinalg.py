@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from periodforms import intlinalg
 from periodforms.errors import DomainError
 from periodforms.intlinalg import (
     bezout_vector,
@@ -26,7 +27,7 @@ from periodforms.intlinalg import (
     saturate_rows,
     transpose,
 )
-from periodforms.symplectic_lattice import Sublattice, determinant
+from periodforms.symplectic_lattice import Sublattice, alternating_normal_form, determinant
 
 
 def random_matrix(rng, m, n, size=5):
@@ -172,6 +173,96 @@ def test_saturate_rows():
     assert mat_eq(sat, [[1, 0], [0, 1]])
     sat = saturate_rows([[2, 4]], 2)
     assert mat_eq(sat, [[1, 2]])
+    assert saturate_rows([], 3) == saturate_rows([[0, 0, 0]], 3) == []
+    with pytest.raises(DomainError, match="needs a width"):
+        saturate_rows([])
+
+
+def kernel_of_kernel_saturation(rows, width):
+    """Saturation as the kernel of the kernel, each an n-wide integer_kernel:
+    the lattice of x with y . x = 0 for every y orthogonal to the rows."""
+    comp = integer_kernel(rows, width) if rows else identity(width)
+    if not comp:
+        return identity(width)
+    return integer_kernel(comp, width)
+
+
+@st.composite
+def saturation_inputs(draw):
+    """(rows, width) of width 1-16: dependent, zero, full-rank and
+    index-scaled rows, or no rows at all; entries small or up to 2^64."""
+    n = draw(st.integers(1, 16))
+    entry = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(2**64), 2**64))
+    kind = draw(st.sampled_from(["dependent", "zero", "full", "scaled", "empty"]))
+    if kind == "empty":
+        return [], n
+    m = n if kind == "full" else draw(st.integers(1, min(n, 5)))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    if kind == "dependent":
+        u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        a, b = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+        rows.insert(draw(st.integers(0, m)), [a * x + b * y for x, y in zip(u, v)])
+    elif kind == "zero":
+        rows.insert(draw(st.integers(0, m)), [0] * n)
+    elif kind == "scaled":
+        k = draw(st.integers(2, 60))
+        rows = [[k * x for x in row] for row in rows]
+    return rows, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(saturation_inputs())
+def test_saturate_rows_matches_kernel_of_kernel(case):
+    rows, n = case
+    assert saturate_rows(rows, n) == kernel_of_kernel_saturation(rows, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(saturation_inputs())
+def test_saturation_is_idempotent(case):
+    rows, n = case
+    sat = saturate_rows(rows, n)
+    assert saturate_rows(sat, n) == sat
+    assert row_hnf(sat) == sat
+
+
+@st.composite
+def nondegenerate_sublattices(draw):
+    """Even-rank generators of genus 1-4 whose restricted form is
+    nondegenerate, some scaled by a common index."""
+    g = draw(st.integers(1, 4))
+    rank = 2 * draw(st.integers(1, g))
+    rows = draw(st.lists(st.lists(st.integers(-6, 6), min_size=2 * g, max_size=2 * g),
+                         min_size=rank, max_size=rank))
+    k = draw(st.sampled_from([1, 1, 2, 3]))
+    rows = [[k * x for x in row] for row in rows]
+    assume(integer_rank(rows) == rank and reference_det(Sublattice(rows).gram_matrix()))
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(nondegenerate_sublattices())
+def test_determinant_is_the_product_of_the_divisors(rows):
+    for lattice in (Sublattice(rows), Sublattice(saturate_rows(rows, len(rows[0])))):
+        product = 1
+        for d in alternating_normal_form(lattice).divisors:
+            product *= d
+        assert determinant(lattice) == product
+
+
+def test_saturate_rows_rejects_an_inexact_solve(monkeypatch):
+    # a Hermite form of the transpose with its first row doubled spans a
+    # smaller lattice than the columns, so the forward substitution cannot
+    # divide exactly
+    real = intlinalg.row_hnf
+
+    def doubled(rows):
+        out = real(rows)
+        return [[2 * x for x in out[0]]] + out[1:] if out else out
+
+    monkeypatch.setattr(intlinalg, "row_hnf", doubled)
+    with pytest.raises(DomainError, match="inexact"):
+        saturate_rows([[1, 0, 2], [0, 1, 3]], 3)
 
 
 def test_determinant_values():

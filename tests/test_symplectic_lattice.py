@@ -539,6 +539,36 @@ def test_sp_constructor_rejects_non_symplectic():
         SpMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
+def test_unit_perturbations_of_extensions_are_rejected():
+    # SpMatrix checks only the strict upper triangle of E^T J E.  Changing
+    # one entry of E changes the form on the pairs with that column, so the
+    # check must refuse every perturbation that the full product refuses;
+    # a few are symplectic again (E + e_a e_b^T with row a of J E a multiple
+    # of e_b^T, as [[1, 1], [0, 1]] from the identity) and must pass.
+    rng = random.Random(71)
+    rejected = 0
+    for genus in (1, 2, 3):
+        n = 2 * genus
+        j = standard_gram(genus)
+        for _ in range(4):
+            v = [0] * n
+            while not is_indivisible(v):
+                v = [rng.randint(-9, 9) for _ in range(n)]
+            e = extend_to_symplectic_basis(v).entries
+            for a in range(n):
+                for b in range(n):
+                    for eps in (1, -1):
+                        bad = [list(row) for row in e]
+                        bad[a][b] += eps
+                        if mat_mul(transpose(bad), mat_mul(j, bad)) == j:
+                            assert SpMatrix(bad).entries == bad
+                            continue
+                        with pytest.raises(DomainError, match="does not preserve the symplectic form"):
+                            SpMatrix(bad)
+                        rejected += 1
+    assert rejected > 400
+
+
 def test_sp_apply_rejects_wrong_length():
     m = sp_identity(2)
     assert m.apply([1, 2, 3, 4]) == [1, 2, 3, 4]
