@@ -383,8 +383,7 @@ def _shear(xred, genus: int) -> SpMatrix:
     x = [0, 0] + [int(t) for t in xred]
     if len(x) != n:
         raise DomainError("shear vector has wrong length")
-    j = standard_gram(genus)
-    jx = mat_vec(j, x)
+    cov = _covector(x)
     cols = []
     e0 = [1] + [0] * (n - 1)
     cols.append(e0)
@@ -392,8 +391,8 @@ def _shear(xred, genus: int) -> SpMatrix:
     cols.append(f0col)
     for k in range(2, n):
         bk = [1 if i == k else 0 for i in range(n)]
-        coef = jx[k]  # omega(b_k, x) = (J x)_k ... sign handled below
-        col = [bi - coef * ei for bi, ei in zip(bk, e0)]
+        coef = cov[k]  # omega(x, b_k)
+        col = [bi + coef * ei for bi, ei in zip(bk, e0)]
         cols.append(col)
     return SpMatrix(transpose(cols))
 
