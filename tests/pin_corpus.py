@@ -1,7 +1,9 @@
 """Seeded corpus of every library output that goes through rational_kernel
-or rational_solve, of every multiplication-map dimension and verdict, and
-of the saturations, lattice invariants and line verdicts behind the
-periods path, pinned by digest.
+or rational_solve, of every multiplication-map dimension and verdict, of
+the saturations, lattice invariants and line verdicts behind the periods
+path, of the polynomial gcd, squarefree test and rational roots, of the
+quartic smoothness and cross-ratio verdicts and of the exact residues and
+section values, pinned by digest.
 
 Each family is a fixed, seeded list of calls.  A call is rendered as one
 line, "<call> -> <output>", with Fractions written p/q and errors written
@@ -29,6 +31,7 @@ from periodforms.curve_algebra import (
     Differential,
     HyperellipticCurve,
     PlaneQuartic,
+    QuadDifferential,
     TauSubspace,
     classify,
     dividend_dim,
@@ -38,11 +41,14 @@ from periodforms.curve_algebra import (
     obscurant_dim,
     obscurant_kernel,
     overlap_degree,
+    quartic_cross_ratio,
+    residues_of_quotient,
+    section_values,
 )
 from periodforms.errors import DomainError
-from periodforms.exact import GaussianRational
+from periodforms.exact import GaussianRational, QuadraticNumber
 from periodforms.intlinalg import clear_denominators, rational_kernel, rational_solve, saturate_rows
-from periodforms.polynomials import Polynomial, TernaryForm
+from periodforms.polynomials import Polynomial, TernaryForm, ternary_monomials
 from periodforms.realizability import (
     CohomologyClass,
     area,
@@ -65,7 +71,8 @@ PIN_FILE = Path(__file__).with_name("pin_corpus.json")
 
 def render(value):
     """Canonical text of an output: Fractions as p/q, lists and dicts in
-    order, GaussianRationals as (re, im)."""
+    order, GaussianRationals as (re, im), QuadraticNumbers as
+    (a, b, disc) and Polynomials as their coefficient lists."""
     if isinstance(value, Fraction):
         return str(value.numerator) if value.denominator == 1 else "%d/%d" % (
             value.numerator, value.denominator)
@@ -73,6 +80,10 @@ def render(value):
         return str(value)
     if isinstance(value, GaussianRational):
         return "(%s, %s)" % (render(value.re), render(value.im))
+    if isinstance(value, QuadraticNumber):
+        return "(%s, %s, %s)" % (render(value.a), render(value.b), render(value.disc))
+    if isinstance(value, Polynomial):
+        return "P" + render(value.coeffs)
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(render(x) for x in value) + "]"
     if isinstance(value, dict):
@@ -433,6 +444,183 @@ def lattice_calls(rng):
                 lambda: extend_to_symplectic_basis(v).entries)
 
 
+def _big_fraction(rng, digits):
+    """A nonzero rational with numerator and denominator of up to digits
+    digits."""
+    while True:
+        value = Fraction(rng.randint(-(10**digits), 10**digits), rng.randint(1, 10**digits))
+        if value:
+            return value
+
+
+def _big_poly(rng, degree, digits):
+    return Polynomial([_big_fraction(rng, digits) for _ in range(degree + 1)])
+
+
+def _coeffs(p):
+    return render(p.coeffs)
+
+
+def polynomial_calls(rng):
+    """gcd, is_squarefree and rational_roots on polynomials with 10- to
+    20-digit rational coefficients: the zero and constant cases, coprime
+    pairs, pairs sharing a factor of degree 1-3, and products of rational
+    roots of multiplicity 1-3 with a leading coefficient and an optional
+    irrational factor."""
+    zero, const, x = Polynomial(), Polynomial([Fraction(-7, 3)]), Polynomial.x()
+    for a, b in ((zero, zero), (zero, const), (const, zero), (zero, x * 3 - 2),
+                 (x * 3 - 2, zero), (const, x - 1), (x * x - 2, x * 2 - 4)):
+        yield "gcd(%s, %s)" % (_coeffs(a), _coeffs(b)), outcome(a.gcd, b)
+    for p in (zero, const, x):
+        yield "is_squarefree(%s)" % _coeffs(p), outcome(p.is_squarefree)
+        yield "rational_roots(%s)" % _coeffs(p), outcome(p.rational_roots)
+    for _ in range(16):
+        digits = rng.choice([10, 20])
+        h = _big_poly(rng, rng.randint(1, 3), digits)
+        u, v = (_big_poly(rng, rng.randint(0, 5), digits) for _ in range(2))
+        for a, b in ((u, v), (h * u, h * v), (h * h * u, h * v)):
+            yield "gcd(%s, %s)" % (_coeffs(a), _coeffs(b)), outcome(a.gcd, b)
+    for _ in range(20):
+        digits = rng.choice([10, 20])
+        roots = [Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**4))
+                 for _ in range(rng.randint(1, 4))]
+        roots = [r for r in roots for _ in range(rng.choice([1, 1, 2, 3]))]
+        p = Polynomial.from_roots(roots, lead=_big_fraction(rng, digits))
+        if rng.random() < 0.5:
+            # no rational root: x^2 - k for a non-square k
+            p = p * Polynomial([-rng.choice([2, 3, 5, 6, 7]), 0, 1])
+        yield "rational_roots(%s)" % _coeffs(p), outcome(p.rational_roots)
+        yield "is_squarefree(%s)" % _coeffs(p), outcome(p.is_squarefree)
+        yield "gcd(%s, derivative)" % _coeffs(p), outcome(p.gcd, p.derivative())
+
+
+def _random_quartic(rng, size=3):
+    return TernaryForm(4, {m: rng.randint(-size, size) for m in ternary_monomials(4)})
+
+
+def _through(rng, form, point):
+    """form minus a multiple of z^4 (point[2] = 1), so it passes through point."""
+    return form - TernaryForm(4, {(0, 0, 4): form(point)})
+
+
+def _singular_at(rng, point):
+    """A quartic with a singular point at (p0 : p1 : 1): a form with no z^4,
+    x z^3 or y z^3 term, moved by x -> x - p0 z, y -> y - p1 z."""
+    x, y, z = (TernaryForm.linear(1, 0, 0), TernaryForm.linear(0, 1, 0),
+               TernaryForm.linear(0, 0, 1))
+    u, v = x - z.scale(point[0]), y - z.scale(point[1])
+    form = None
+    for i, j, k in ternary_monomials(4):
+        if k >= 3:
+            continue
+        term = None
+        for factor, e in ((u, i), (v, j), (z, k)):
+            for _ in range(e):
+                term = factor if term is None else term * factor
+        term = term.scale(rng.randint(-3, 3))
+        form = term if form is None else form + term
+    return form
+
+
+def _cross(p, q):
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+
+
+def quartic_calls(rng):
+    """Quartic accept/reject: smooth, singular at a chosen point, a squared
+    conic, the zero form and a cubic; values of each form and its partials
+    at int, Fraction and Polynomial points; and the cross-ratio verdicts
+    on lines through a rational point of a smooth quartic: transversal,
+    tangent, beta through the point and a degenerate quadruple."""
+    yield "PlaneQuartic(0)", outcome(lambda: PlaneQuartic(TernaryForm(4, {})) and "smooth")
+    yield "PlaneQuartic(cubic)", outcome(
+        lambda: PlaneQuartic(TernaryForm(3, {(3, 0, 0): 1, (0, 3, 0): 1})) and "smooth")
+    t = Polynomial.x()
+    for trial in range(12):
+        point = (rng_fraction(rng, 5, 3), rng_fraction(rng, 5, 3), Fraction(1))
+        if trial % 4 == 0:
+            form = _singular_at(rng, point)
+        elif trial % 4 == 1:
+            conic = TernaryForm(2, {m: rng.randint(-2, 2) for m in ternary_monomials(2)})
+            form = conic * conic
+        else:
+            form = _through(rng, _random_quartic(rng), point)
+        yield "PlaneQuartic(%s)" % render(form.coeffs), outcome(lambda: PlaneQuartic(form) and "smooth")
+        probes = [(1, 0, 0), (rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-5, 5)),
+                  point, (rng_fraction(rng, 9, 7), 2, rng_fraction(rng, 9, 7))]
+        for q in probes:
+            values = [form(q)] + [form.partial(v)(q) for v in range(3)]
+            yield "values(%s, %s)" % (render(form.coeffs), render(q)), render(values)
+        line = tuple(Polynomial([a, b]) for a, b in zip(point, probes[3]))
+        yield "restrict(%s, %s)" % (render(form.coeffs), render(probes[3])), outcome(form, line)
+        yield "restrict(%s, (t, 1 - t, 1/2))" % render(form.coeffs), outcome(
+            form, (t, 1 - t, Polynomial([Fraction(1, 2)])))
+    for _ in range(8):
+        point = (rng_fraction(rng, 5, 3), rng_fraction(rng, 5, 3), Fraction(1))
+        while True:
+            form = _through(rng, _random_quartic(rng), point)
+            try:
+                quartic = PlaneQuartic(form)
+                break
+            except DomainError:
+                continue
+        gradient = tuple(form.partial(v)(point) for v in range(3))
+        direction = (rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3))
+        through = _cross(point, direction)
+        other = tuple(rng.randint(-4, 4) for _ in range(3))
+        cases = [
+            ("transversal", through, other, tuple(rng.randint(-4, 4) for _ in range(3))),
+            ("tangent", gradient, other, (1, 0, 0)),
+            ("beta through the point", through, _cross(point, (1, 2, 3)), other),
+            ("degenerate", through, other, tuple(3 * c for c in other)),
+        ]
+        for label, alpha, beta, gamma in cases:
+            call = "cross_ratio(%s, %s, %s, %s, %s)" % (
+                render(form.coeffs), label, render(alpha), render(beta), render(gamma))
+            yield call, outcome(lambda: quartic_cross_ratio(quartic, alpha, beta, gamma)[2])
+
+
+def zero_locus_calls(rng):
+    """Exact residues of omega/alpha and section values gamma/beta at the
+    zeros of alpha on curves of genus 2-5, and their rejects: a repeated
+    zero, a zero on the branch locus, an irrational zero, a zero at
+    infinity, beta vanishing at a zero of alpha."""
+    for genus in range(2, 6):
+        f_roots = rng.sample(range(-20, 21), 2 * genus + rng.choice([1, 2]))
+        curve = HyperellipticCurve(Polynomial.from_roots(f_roots, lead=rng.choice([1, -2, 3])))
+        for trial in range(5):
+            roots = []
+            while len(roots) < genus - 1:
+                r = rng_fraction(rng, 30, 7)
+                if r not in roots and r not in f_roots:
+                    roots.append(r)
+            kind = ("simple", "simple", "repeated", "branch", "irrational")[trial]
+            if kind == "repeated" and genus > 2:
+                roots[-1] = roots[0]
+            elif kind == "branch":
+                roots[-1] = Fraction(f_roots[0])
+            alpha = Polynomial.from_roots(roots, lead=rng_fraction(rng, 9, 4) or 1)
+            if kind == "irrational" and genus > 2:
+                alpha = Polynomial.from_roots(roots[:-2], lead=2) * Polynomial([-3, 0, 1])
+            q = Polynomial([rng_fraction(rng, 9, 4) for _ in range(2 * genus - 1)])
+            r = Polynomial([rng_fraction(rng, 9, 4) for _ in range(max(0, genus - 2))])
+            beta = _form(rng, rng.randint(0, genus - 1))
+            gamma = _form(rng, rng.randint(0, genus - 1))
+            if trial == 1 and genus > 2:
+                beta = Polynomial.from_roots([roots[0]], lead=3)
+            a = Differential(curve, alpha)
+            call = "residues(f=%s, alpha=%s, q=%s, r=%s)" % (
+                _coeffs(curve.f), _coeffs(alpha), _coeffs(q), _coeffs(r))
+            yield call, outcome(residues_of_quotient, QuadDifferential(curve, q, r), a)
+            call = "sections(f=%s, alpha=%s, beta=%s, gamma=%s)" % (
+                _coeffs(curve.f), _coeffs(alpha), _coeffs(beta), _coeffs(gamma))
+            yield call, outcome(section_values, Differential(curve, gamma), Differential(curve, beta), a)
+        low = Differential(curve, Polynomial([1]))
+        if genus > 2:
+            yield "residues(f=%s, alpha=1)" % _coeffs(curve.f), outcome(
+                residues_of_quotient, QuadDifferential(curve, [1]), low)
+
+
 FAMILIES = {
     "rational_elim": (11, rational_elim_calls),
     "obscurant_hyperelliptic": (12, hyperelliptic_obscurant_calls),
@@ -442,6 +630,9 @@ FAMILIES = {
     "contains": (16, contains_calls),
     "multiplication": (17, multiplication_calls),
     "lattice": (18, lattice_calls),
+    "polynomials": (19, polynomial_calls),
+    "quartic": (20, quartic_calls),
+    "zero_locus": (21, zero_locus_calls),
 }
 
 
