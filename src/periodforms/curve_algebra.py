@@ -25,7 +25,7 @@ from sys import float_info
 
 from .errors import DomainError
 from .exact import QuadraticNumber
-from .intlinalg import clear_denominators, integer_rank, rational_kernel, rational_rank
+from .intlinalg import integer_rank, rational_kernel, rational_rank
 from .polynomials import Polynomial, TernaryForm, ternary_monomials
 
 COPRIME = "coprime"
@@ -113,15 +113,15 @@ def _partials_meet_only_at_origin(form):
     # rows (partial times degree-4 monomial) over the 36 monomials of S_7
     # must have rank 36; a zero partial leaves at most 30 nonzero rows.
     # By Euler's identity the common zeros are the singular points, and the
-    # rank over Q is the rank over C.
-    partials = [form.partial(v).coeffs for v in range(3)]
-    values, _ = clear_denominators([[c for _, c in p] for p in partials])
+    # rank over Q is the rank over C, so each partial enters by its integer
+    # numerators: a positive factor per block of rows changes no rank.
     column = {m: n for n, m in enumerate(ternary_monomials(7))}
     rows = []
-    for p, ints in zip(partials, values):
+    for v in range(3):
+        partial = form.partial(v).num
         for i, j, k in ternary_monomials(4):
             row = [0] * len(column)
-            for ((a, b, d), _), c in zip(p, ints):
+            for (a, b, d), c in partial:
                 row[column[(a + i, b + j, d + k)]] = c
             rows.append(row)
     return integer_rank(rows) == len(column)

@@ -5,8 +5,9 @@ routines use arbitrary-precision ints: Hermite forms, with or without their
 transform, come from one core, lll_reduce is the integral LLL, the
 saturation is one exact triangular solve between two Hermite forms, the
 rank over Z or Q, the integer determinant and the rational kernel and
-solve come from one fraction-free (Bareiss) elimination; Fractions appear
-only in the kernel and solve results.
+solve come from one fraction-free (Bareiss) elimination, which rescales a
+row only when it is next used; Fractions appear only in the kernel and
+solve results.
 No floating point anywhere.
 """
 
@@ -286,10 +287,25 @@ def _bareiss(rows, reduce=False):
     Turner and Williams, SIGSAM Bull. 31, 1997).  Every pivot then ends
     equal to the last one, d, and the pivot columns vanish off their pivot
     rows, so the rows divided by d are the reduced row echelon form.
+
+    Rescaling is lazy.  The eager step at pivot p turns a row with 0 in the
+    pivot column into p x / prev; here that row is left as it is, stamped
+    with the pivot s it is current with.  The per-step factors telescope,
+    so its eager value is x prev / s, an integer, and catching up is the
+    one exact division x prev // s.  The eager update (p x - f y) / prev of
+    the caught-up row is (p x - f y) / s on the stamped row, exact because
+    the eager result is an integer, so a row with f != 0 catches up within
+    its update.  The pivot row catches up before its pivot is read; the
+    eager step never rescales it at its own pivot, so it is stamped with
+    its own pivot p.  Without reduce the pivot rows are final once
+    eliminated below, and the rows below the last pivot row are zero; with
+    reduce every row catches up before returning.  So the result is the
+    eager one.
     """
     a = list(rows)
     m = len(a)
     n = len(a[0]) if m else 0
+    stamp = [1] * m
     pivots, prev = [], 1
     for c in range(n):
         rank = len(pivots)
@@ -298,25 +314,36 @@ def _bareiss(rows, reduce=False):
         piv = next((i for i in range(rank, m) if a[i][c]), None)
         if piv is None:
             continue
+        top, s = a[piv], stamp[piv]
+        if s != prev:
+            top = [x * prev // s for x in top]
         if piv != rank:
-            a[rank], a[piv] = a[piv], [-x for x in a[rank]]
-        top = a[rank]
+            a[piv], stamp[piv] = [-x for x in a[rank]], stamp[rank]
         p = top[c]
+        a[rank], stamp[rank] = top, p
         zeros, tail = [0] * (c + 1), top[c + 1:]
         for i in range(rank + 1, m):
             row = a[i]
             f = row[c]
             if f:
-                a[i] = zeros + [(p * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
-            else:
-                a[i] = zeros + [p * x // prev for x in row[c + 1:]]
+                s = stamp[i]
+                a[i] = zeros + [(p * x - f * y) // s for x, y in zip(row[c + 1:], tail)]
+                stamp[i] = p
         if reduce:
             for i in range(rank):
                 row = a[i]
                 f = row[c]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+                if f:
+                    s = stamp[i]
+                    a[i] = [(p * x - f * y) // s for x, y in zip(row, top)]
+                    stamp[i] = p
         prev = p
         pivots.append(c)
+    if reduce:
+        for i in range(m):
+            s = stamp[i]
+            if s != prev:
+                a[i] = [x * prev // s for x in a[i]]
     return a, pivots, prev
 
 

@@ -2,9 +2,13 @@
 
 A Polynomial is an integer vector over one positive denominator, kept in
 lowest terms, so its kernels run on ints: products are integer
-convolutions, division is pseudo-division over Z and gcd is the primitive
-PRS (Knuth, TAOCP vol. 2, 4.6.1).  TernaryForm keeps Fraction coefficients.
-Nothing in here ever rounds.
+convolutions and division is pseudo-division over Z.  The gcd is decided
+modulo one 30-bit prime when it is constant, which is the common case,
+and found otherwise by Brown's modular algorithm with an exact division
+check (Brown, J. ACM 18, 1971; Knuth, TAOCP vol. 2, 4.6.1).  A TernaryForm
+is integer coefficients over one positive denominator too, so its values
+at rational and Polynomial points are integer sums.  Nothing in here ever
+rounds; floats and complex numbers go through the Fraction coefficients.
 """
 
 from __future__ import annotations
@@ -109,15 +113,7 @@ class Polynomial:
 
     def __mul__(self, other):
         other = _lift(other)
-        a, b = self.num, other.num
-        if not a or not b:
-            return Polynomial()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-        return Polynomial._make(out, self.den * other.den)
+        return Polynomial._make(_convolve(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -152,11 +148,9 @@ class Polynomial:
         return Polynomial._make(self.num, self.num[-1])
 
     def gcd(self, other):
-        # primitive PRS: only integer pseudo-remainders, content removed
-        a, b = _primitive(self.num), _primitive(_lift(other).num)
-        while b:
-            a, b = b, _primitive(_pseudo_divmod(a, b)[1])
-        return Polynomial._make(a, a[-1] if a else 1)
+        """The monic gcd; the zero polynomial when both are zero."""
+        h = _integer_gcd(self.num, _lift(other).num)
+        return Polynomial._make(h, h[-1] if h else 1)
 
     def derivative(self):
         return Polynomial._make([k * c for k, c in enumerate(self.num)][1:], self.den)
@@ -284,6 +278,136 @@ def _pseudo_divmod(a, b):
     return q, r[:n], k
 
 
+def _convolve(a, b):
+    """Product of two integer coefficient vectors."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _is_prime(n):
+    """Miller-Rabin with the first twelve prime bases, which is exact for
+    n < 3.3 * 10^24 (Sorenson and Webster, Math. Comp. 86, 2017)."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n == b:
+            return True
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes():
+    """The primes below 2^30 in decreasing order, so that residues and
+    their products stay small ints.  The first, 2^30 - 35, is the largest
+    prime below 2^30 and is given without a test, so the common case of a
+    gcd decided at one prime tests none."""
+    q = 2**30 - 35
+    while True:
+        yield q
+        q -= 2
+        while not _is_prime(q):
+            q -= 2
+
+
+def _gcd_mod(a, b, p):
+    """Monic gcd of the integer vectors a and b modulo the prime p, which
+    divides neither leading coefficient: Euclid over GF(p)."""
+    a, b = [x % p for x in a], [x % p for x in b]
+    while b:
+        n, inv = len(b) - 1, pow(b[-1], -1, p)
+        for j in range(len(a) - 1 - n, -1, -1):
+            c = a[n + j] * inv % p
+            if c:
+                a[j:n + j] = [(x - c * y) % p for x, y in zip(a[j:n + j], b)]
+        del a[n:]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
+
+
+def _divides(h, a):
+    """Whether the integer vector h != 0 divides a over Z, by long
+    division that stops at the first inexact quotient coefficient."""
+    r, n, lead = list(a), len(h) - 1, h[-1]
+    for j in range(len(r) - 1 - n, -1, -1):
+        c, rest = divmod(r[n + j], lead)
+        if rest:
+            return False
+        if c:
+            r[j:n + j] = [x - c * y for x, y in zip(r[j:n + j], h)]
+    return not any(r[:n])
+
+
+def _integer_gcd(a, b):
+    """The primitive, positive-leading gcd over Z of integer vectors a and
+    b; [] when both vanish.
+
+    Let p be a prime dividing neither leading coefficient.  A primitive
+    common factor h has lc(h) | lc(a), so h mod p keeps its degree and
+    divides both images: deg gcd(a, b) <= deg gcd(a mod p, b mod p).  So a
+    constant gcd mod p proves a constant gcd.  Otherwise this is Brown's
+    modular algorithm (J. ACM 18, 1971; Knuth, TAOCP vol. 2, 4.6.1): with
+    l = gcd(lc(a), lc(b)), l * h / lc(h) has integer coefficients, and its
+    image is l times the monic gcd mod p at every prime where the degree is
+    the least seen, so those images are joined by the Chinese remainder
+    theorem in symmetric residues; a prime of lower degree restarts the
+    image, one of higher degree is skipped.  When one more prime leaves the
+    image unchanged, its primitive part H is a candidate, returned only if H
+    divides a and b exactly.  Then H | h and deg H >= deg h, so H = h; a
+    failed check only asks for more primes.
+    """
+    a, b = _primitive(a), _primitive(b)
+    if not a or not b:
+        return a or b
+    if len(a) == 1 or len(b) == 1:
+        return [1]
+    lead = gcd(a[-1], b[-1])
+    image, modulus, size = None, 1, min(len(a), len(b))
+    for p in _primes():
+        if a[-1] % p == 0 or b[-1] % p == 0:
+            continue
+        g = _gcd_mod(a, b, p)
+        if len(g) == 1:
+            return [1]
+        if len(g) > size:
+            continue
+        g = [lead * c % p for c in g]
+        if image is None or len(g) < size:
+            image, modulus, size = _symmetric(g, p), p, len(g)
+            continue
+        inv = pow(modulus, -1, p)
+        joined = [x + modulus * ((c - x) * inv % p) for x, c in zip(image, g)]
+        modulus *= p
+        joined = _symmetric(joined, modulus)
+        if joined == image:
+            h = _primitive(image)
+            if _divides(h, a) and _divides(h, b):
+                return h
+        image = joined
+
+
+def _symmetric(values, m):
+    """Residues mod m, given in (-m/2, m), moved into (-m/2, m/2]."""
+    return [x - m if 2 * x > m else x for x in values]
+
+
 def _eval_mod(coeffs, x, m):
     acc = 0
     for c in reversed(coeffs):
@@ -304,9 +428,14 @@ def ternary_monomials(degree):
 
 
 class TernaryForm:
-    """Homogeneous form in three variables with rational coefficients."""
+    """Homogeneous form in three variables with rational coefficients.
 
-    __slots__ = ("degree", "coeffs")
+    Stored as num / den: num is a tuple of (exponents, integer) pairs,
+    exponents descending, no zero integer, over a positive den with
+    gcd(den, *integers) = 1, so equal forms have equal (num, den).
+    """
+
+    __slots__ = ("degree", "num", "den")
 
     def __init__(self, degree, coeffs):
         degree = int(degree)
@@ -319,11 +448,26 @@ class TernaryForm:
                 raise DomainError(
                     "exponents %r do not match degree %d" % (key, degree)
                 )
-            value = Fraction(value)
-            if value:
-                table[(i, j, k)] = value
+            table[(i, j, k)] = Fraction(value)
+        den = lcm(*(v.denominator for v in table.values()))
+        num = {key: v.numerator * (den // v.denominator) for key, v in table.items()}
+        self._init(degree, num, den)
+
+    @staticmethod
+    def _make(degree, num, den):
+        """The form sum num[key] x^key / den, put in canonical form."""
+        form = object.__new__(TernaryForm)
+        form._init(degree, num, den)
+        return form
+
+    def _init(self, degree, num, den):
+        """Stores num / den with zero terms dropped and the common factor
+        removed."""
+        num = sorted(((key, c) for key, c in num.items() if c), reverse=True)
+        g = gcd(den, *(c for _, c in num))  # den itself when num is empty
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", tuple(sorted(table.items(), reverse=True)))
+        object.__setattr__(self, "num", tuple((key, c // g) for key, c in num))
+        object.__setattr__(self, "den", den // g)
 
     def __setattr__(self, name, value):
         raise AttributeError("TernaryForm is immutable")
@@ -332,13 +476,19 @@ class TernaryForm:
     def linear(a, b, c):
         return TernaryForm(1, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c})
 
+    @property
+    def coeffs(self):
+        den = self.den
+        return tuple((key, Fraction(c, den)) for key, c in self.num)
+
     def is_zero(self):
-        return not self.coeffs
+        return not self.num
 
     def coefficient(self, key):
-        for k, v in self.coeffs:
-            if k == tuple(key):
-                return v
+        key = tuple(key)
+        for k, c in self.num:
+            if k == key:
+                return Fraction(c, self.den)
         return Fraction(0)
 
     def coefficient_vector(self):
@@ -349,30 +499,34 @@ class TernaryForm:
             return NotImplemented
         if self.degree != other.degree:
             raise DomainError("cannot add forms of different degrees")
-        table = dict(self.coeffs)
-        for key, value in other.coeffs:
-            table[key] = table.get(key, Fraction(0)) + value
-        return TernaryForm(self.degree, table)
+        den = lcm(self.den, other.den)
+        table = {}
+        for form in (self, other):
+            scale = den // form.den
+            for key, c in form.num:
+                table[key] = table.get(key, 0) + scale * c
+        return TernaryForm._make(self.degree, table, den)
 
     def __neg__(self):
-        return TernaryForm(self.degree, {k: -v for k, v in self.coeffs})
+        return TernaryForm._make(self.degree, {k: -c for k, c in self.num}, self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
         c = Fraction(c)
-        return TernaryForm(self.degree, {k: v * c for k, v in self.coeffs})
+        return TernaryForm._make(
+            self.degree, {k: v * c.numerator for k, v in self.num}, self.den * c.denominator)
 
     def __mul__(self, other):
         if not isinstance(other, TernaryForm):
             return NotImplemented
         table = {}
-        for (i1, j1, k1), a in self.coeffs:
-            for (i2, j2, k2), b in other.coeffs:
+        for (i1, j1, k1), a in self.num:
+            for (i2, j2, k2), b in other.num:
                 key = (i1 + i2, j1 + j2, k1 + k2)
-                table[key] = table.get(key, Fraction(0)) + a * b
-        return TernaryForm(self.degree + other.degree, table)
+                table[key] = table.get(key, 0) + a * b
+        return TernaryForm._make(self.degree + other.degree, table, self.den * other.den)
 
     def partial(self, variable):
         if variable not in (0, 1, 2):
@@ -380,20 +534,46 @@ class TernaryForm:
         if self.degree == 0:
             raise DomainError("cannot differentiate a constant form")
         table = {}
-        for key, value in self.coeffs:
+        for key, c in self.num:
             e = key[variable]
             if e == 0:
                 continue
             new = list(key)
             new[variable] = e - 1
-            table[tuple(new)] = value * e
-        return TernaryForm(self.degree - 1, table)
+            table[tuple(new)] = c * e
+        return TernaryForm._make(self.degree - 1, table, self.den)
 
     def __call__(self, point):
-        # one power table per coordinate, not a power per monomial
+        num, n = self.num, self.degree
+        if not num:
+            return 0
+        if any(isinstance(c, Polynomial) for c in point):
+            # F(P / d) = F(P) / d^n for the common denominator d of the
+            # coordinates, and F(P) is a sum of integer convolutions
+            point = [_lift(c) for c in point]
+            d = lcm(*(c.den for c in point))
+            px, py, pz = powers = [[[1]] for _ in point]
+            for c, row in zip(point, powers):
+                v = [x * (d // c.den) for x in c.num]
+                for _ in range(n):
+                    row.append(_convolve(row[-1], v))
+            acc = []
+            for (i, j, k), c in num:
+                term = _convolve(_convolve(px[i], py[j]), pz[k])
+                acc += [0] * (len(term) - len(acc))
+                for t, x in enumerate(term):
+                    acc[t] += c * x
+            return Polynomial._make(acc, self.den * d**n)
+        if all(isinstance(c, (int, Fraction)) for c in point):
+            d = lcm(*(c.denominator for c in point))
+            px, py, pz = ([x**e for e in range(n + 1)]
+                          for x in (c.numerator * (d // c.denominator) for c in point))
+            return Fraction(sum(c * px[i] * py[j] * pz[k] for (i, j, k), c in num), self.den * d**n)
+        # floats and complex numbers take the Fraction coefficients, so
+        # their values stay bit-identical; one power table per coordinate
         powers = [[c**0] for c in point]
         for c, row in zip(point, powers):
-            for _ in range(self.degree):
+            for _ in range(n):
                 row.append(row[-1] * c)
         px, py, pz = powers
         acc = 0
@@ -404,10 +584,10 @@ class TernaryForm:
     def __eq__(self, other):
         if not isinstance(other, TernaryForm):
             return NotImplemented
-        return self.degree == other.degree and self.coeffs == other.coeffs
+        return self.degree == other.degree and self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.degree, self.coeffs))
+        return hash((self.degree, self.num, self.den))
 
     def __repr__(self):
         return "TernaryForm(%d, %s)" % (self.degree, dict(self.coeffs))

@@ -344,6 +344,19 @@ def test_curve_overlap_at_genus_41_finishes():
     assert json.loads(done.stdout) == {"overlap_degree": 0}
 
 
+def test_curve_overlap_on_a_ten_digit_degree_83_curve_finishes():
+    # f, alpha and beta have 10-digit numerators and denominators; the
+    # primitive PRS of the squarefree check on f ran past 20 s, the modular
+    # gcd proves each coprime case modulo one prime
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from periodforms.cli import main; sys.exit(main(sys.argv[1:]))",
+         "curve", "overlap", "--input", str(Path(__file__).with_name("overlap_degree83.json"))],
+        capture_output=True, text=True, env=src_env(), timeout=10,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"overlap_degree": 0}
+
+
 def test_curve_cross_ratio_on_coordinate_lines(capsys):
     doc = payload(curve=FERMAT, alpha=[1, 0, 0], beta=[0, 1, 0], gamma=[0, 0, 1])
     code, out, _ = run(capsys, "curve", "cross-ratio", "--input", doc)

@@ -27,6 +27,7 @@ from periodforms.intlinalg import (
     saturate_rows,
     transpose,
 )
+from periodforms.polynomials import TernaryForm, ternary_monomials
 from periodforms.symplectic_lattice import Sublattice, alternating_normal_form, determinant
 
 
@@ -473,6 +474,73 @@ def test_bareiss_on_sparse_matrices(rows):
         assert integer_det(rows) == reference_det(rows)
         if n <= 5:
             assert integer_det(rows) == leibniz_det(rows)
+
+
+def eager_bareiss(rows, reduce=False):
+    """The eager elimination that the lazy _bareiss replaced: at every
+    pivot p, each row below the pivot row, and with reduce each row above
+    it, becomes (p x - f y) / prev, a row with f = 0 included."""
+    a = list(rows)
+    m = len(a)
+    n = len(a[0]) if m else 0
+    pivots, prev = [], 1
+    for c in range(n):
+        rank = len(pivots)
+        if rank == m:
+            break
+        piv = next((i for i in range(rank, m) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            a[rank], a[piv] = a[piv], [-x for x in a[rank]]
+        top = a[rank]
+        p = top[c]
+        zeros, tail = [0] * (c + 1), top[c + 1:]
+        for i in range(rank + 1, m):
+            row = a[i]
+            f = row[c]
+            if f:
+                a[i] = zeros + [(p * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
+            else:
+                a[i] = zeros + [p * x // prev for x in row[c + 1:]]
+        if reduce:
+            for i in range(rank):
+                row = a[i]
+                f = row[c]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+        pivots.append(c)
+    return a, pivots, prev
+
+
+@st.composite
+def macaulay_matrices(draw):
+    """The 45 x 36 Macaulay matrix of the partials of a random quartic,
+    cleared of denominators: sparse quartics are often singular, so the
+    rank falls short of 36 and rows are left below the last pivot."""
+    value = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-9, 9),
+                      st.builds(Fraction, st.integers(-999, 999), st.integers(1, 99)))
+    form = TernaryForm(4, {m: draw(value) for m in ternary_monomials(4)})
+    partials = [form.partial(v).coeffs for v in range(3)]
+    values, _ = clear_denominators([[c for _, c in p] for p in partials])
+    column = {m: k for k, m in enumerate(ternary_monomials(7))}
+    rows = []
+    for partial, ints in zip(partials, values):
+        for i, j, k in ternary_monomials(4):
+            row = [0] * len(column)
+            for ((a, b, d), _), c in zip(partial, ints):
+                row[column[(a + i, b + j, d + k)]] = c
+            rows.append(row)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(sparse_matrices(), integer_matrices(), macaulay_matrices()), st.booleans())
+def test_lazy_bareiss_matches_the_eager_oracle(rows, reduce):
+    a, pivots, last = intlinalg._bareiss(rows, reduce)
+    b, expected_pivots, expected_last = eager_bareiss(rows, reduce)
+    assert (pivots, last) == (expected_pivots, expected_last)
+    assert [list(r) for r in a] == [list(r) for r in b]
 
 
 def test_integer_det_small_cases():

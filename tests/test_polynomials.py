@@ -1,6 +1,8 @@
 import random
 import time
 from fractions import Fraction as F
+from itertools import islice
+from math import isqrt
 
 import pytest
 import sympy
@@ -8,7 +10,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from periodforms.errors import DomainError
-from periodforms.polynomials import Polynomial, TernaryForm, ternary_monomials
+from periodforms.polynomials import (
+    Polynomial,
+    TernaryForm,
+    _primes,
+    _primitive,
+    _pseudo_divmod,
+    ternary_monomials,
+)
+
+# the first primes the modular gcd tries
+P0, P1, P2 = islice(_primes(), 3)
 
 
 def rand_poly(rng, degree):
@@ -286,6 +298,175 @@ def test_gcd_at_degree_40_takes_under_two_seconds():
         start = time.perf_counter()
         assert call() == expected
         assert time.perf_counter() - start < 2
+
+
+def test_gcd_of_ten_digit_fractions_at_degree_40_takes_half_a_second():
+    # the primitive PRS took 10.6 s on the shared factor: the cleared
+    # coefficients start near 2,200 bits and its remainders reach 80,000
+    rng = random.Random(41)
+
+    def poly(degree):
+        return Polynomial([F(rng.randint(-(10**10), 10**10), rng.randint(1, 10**10))
+                           for _ in range(degree + 1)])
+
+    a, b, shared = poly(40), poly(39), poly(5)
+    cases = [
+        (lambda: a.gcd(b).degree, 0),
+        (lambda: (a * shared).gcd(b * shared) == shared.monic(), True),
+    ]
+    for call, expected in cases:
+        start = time.perf_counter()
+        assert call() == expected
+        assert time.perf_counter() - start < 0.5
+
+
+def prs_gcd(p, q):
+    """The primitive PRS (Knuth, TAOCP vol. 2, 4.6.1) that the modular gcd
+    replaced: integer pseudo-remainders with the content removed, monic at
+    the end."""
+    a, b = _primitive(p.num), _primitive(q.num)
+    while b:
+        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+    return Polynomial._make(a, a[-1] if a else 1)
+
+
+@st.composite
+def modular_gcd_pairs(draw):
+    """(a, b) = (h u, h v) over Z, with leading coefficients of h, u and v
+    that the first primes may divide, and sometimes v = u + P0 P1, so the
+    first two primes see the common factor h u: unlucky primes."""
+    coeff = st.one_of(st.integers(-9, 9), st.integers(-(10**30), 10**30))
+    lead = st.one_of(st.integers(1, 9), st.sampled_from([P0, P1, P0 * P1, 3 * P0, -P1]))
+
+    def poly(max_degree):
+        body = draw(st.lists(coeff, max_size=max_degree))
+        return Polynomial(body + [draw(lead) * draw(st.sampled_from([1, -1]))])
+
+    h = poly(3) if draw(st.booleans()) else Polynomial([1])
+    u = poly(5)
+    v = u + P0 * P1 if draw(st.booleans()) and u.degree > 0 else poly(5)
+    if draw(st.booleans()):
+        h = h * h
+    return h * u, h * v
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(modular_gcd_pairs(), fraction_pairs()))
+def test_gcd_matches_the_primitive_prs(pair):
+    a, b = (p if isinstance(p, Polynomial) else Polynomial(p) for p in pair)
+    expected = prs_gcd(a, b)
+    assert a.gcd(b) == expected == b.gcd(a)
+    if not a.is_zero():
+        assert a.is_squarefree() == (prs_gcd(a, a.derivative()).degree == 0)
+
+
+def test_the_first_modular_primes_are_prime():
+    # the first is given without a primality test
+    assert 2**30 > P0 > P1 > P2
+    for p in (P0, P1, P2):
+        assert all(p % d for d in range(2, isqrt(p) + 1))
+
+
+def test_modular_gcd_survives_unlucky_primes():
+    # modulo P0 and P1 the cofactors agree, so both primes see the common
+    # factor (x + 2)(x + 1); a third prime is needed, and the first stable
+    # image is (x + 2)(x + 1), which the division check must reject
+    h, u = Polynomial([2, 1]), Polynomial([1, 1])
+    a, b = h * u, h * (u + P0 * P1)
+    assert a.gcd(b) == h
+    # a common factor whose leading coefficient P0 vanishes modulo P0
+    h = Polynomial([1, P0])
+    assert (h * Polynomial([2, 1])).gcd(h * Polynomial([3, 1])) == h.monic()
+
+
+class FractionTernaryForm:
+    """The Fraction-coefficient TernaryForm that the integer one replaced,
+    kept as the oracle of its arithmetic and values."""
+
+    def __init__(self, degree, coeffs):
+        self.degree = degree
+        self.coeffs = tuple(sorted(((k, F(v)) for k, v in dict(coeffs).items() if v), reverse=True))
+
+    def __add__(self, other):
+        table = dict(self.coeffs)
+        for key, value in other.coeffs:
+            table[key] = table.get(key, F(0)) + value
+        return FractionTernaryForm(self.degree, table)
+
+    def __mul__(self, other):
+        table = {}
+        for (i1, j1, k1), a in self.coeffs:
+            for (i2, j2, k2), b in other.coeffs:
+                key = (i1 + i2, j1 + j2, k1 + k2)
+                table[key] = table.get(key, F(0)) + a * b
+        return FractionTernaryForm(self.degree + other.degree, table)
+
+    def scale(self, c):
+        return FractionTernaryForm(self.degree, {k: v * F(c) for k, v in self.coeffs})
+
+    def partial(self, variable):
+        table = {}
+        for key, value in self.coeffs:
+            e = key[variable]
+            if e:
+                new = list(key)
+                new[variable] = e - 1
+                table[tuple(new)] = value * e
+        return FractionTernaryForm(self.degree - 1, table)
+
+    def __call__(self, point):
+        powers = [[c**0] for c in point]
+        for c, row in zip(point, powers):
+            for _ in range(self.degree):
+                row.append(row[-1] * c)
+        px, py, pz = powers
+        acc = 0
+        for (i, j, k), value in self.coeffs:
+            acc = acc + value * px[i] * py[j] * pz[k]
+        return acc
+
+
+@st.composite
+def ternary_tables(draw, degree):
+    value = st.one_of(st.just(0), st.integers(-9, 9),
+                      st.builds(F, st.integers(-(10**12), 10**12), st.integers(1, 10**6)))
+    return {m: draw(value) for m in ternary_monomials(degree)}
+
+
+@st.composite
+def ternary_points(draw):
+    """A point of each type a form is evaluated at: ints, Fractions mixed
+    with ints, Polynomials mixed with ints, floats and complex numbers."""
+    small = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
+    kind = draw(st.sampled_from(["int", "fraction", "polynomial", "float", "complex"]))
+    if kind == "int":
+        return tuple(draw(st.integers(-50, 50)) for _ in range(3))
+    if kind == "fraction":
+        return tuple(draw(st.one_of(small, st.integers(-5, 5))) for _ in range(3))
+    if kind == "polynomial":
+        poly = st.builds(Polynomial, st.lists(small, max_size=3))
+        return tuple(draw(st.one_of(poly, st.integers(-5, 5))) for _ in range(3))
+    number = st.floats(-4, 4, allow_nan=False)
+    if kind == "float":
+        return tuple(draw(number) for _ in range(3))
+    return tuple(complex(draw(number), draw(number)) for _ in range(3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda d: st.tuples(st.just(d), ternary_tables(d), ternary_tables(1))),
+       ternary_points())
+def test_ternary_form_matches_the_fraction_oracle(case, point):
+    degree, table, line = case
+    form, oracle = TernaryForm(degree, table), FractionTernaryForm(degree, table)
+    lin, lin_oracle = TernaryForm(1, line), FractionTernaryForm(1, line)
+    pairs = [(form, oracle), (form * lin, oracle * lin_oracle), (form.scale(F(-3, 7)), oracle.scale(F(-3, 7))),
+             (form + form.scale(2), oracle + oracle.scale(2))]
+    if degree:
+        pairs += [(form.partial(v), oracle.partial(v)) for v in range(3)]
+    for got, expected in pairs:
+        assert got.coeffs == expected.coeffs
+        value, reference = got(point), expected(point)
+        assert type(value) is type(reference) and value == reference
 
 
 def test_ternary_monomial_order():
