@@ -297,10 +297,9 @@ def _bareiss(rows, reduce=False):
     the eager result is an integer, so a row with f != 0 catches up within
     its update.  The pivot row catches up before its pivot is read; the
     eager step never rescales it at its own pivot, so it is stamped with
-    its own pivot p.  Without reduce the pivot rows are final once
-    eliminated below, and the rows below the last pivot row are zero; with
-    reduce every row catches up before returning.  So the result is the
-    eager one.
+    its own pivot p.  Without reduce a pivot row is final once chosen and
+    the rows below the last pivot row end zero; with reduce every row
+    catches up before returning.  So the result is the eager one.
     """
     a = list(rows)
     m = len(a)
