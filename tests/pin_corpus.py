@@ -2,8 +2,9 @@
 or rational_solve, of every multiplication-map dimension and verdict, of
 the saturations, lattice invariants and line verdicts behind the periods
 path, of the polynomial gcd, squarefree test and rational roots, of the
-quartic smoothness and cross-ratio verdicts and of the exact residues and
-section values, pinned by digest.
+quartic smoothness and cross-ratio verdicts, of the exact residues and
+section values and of the cover invariants and origami genera, pinned by
+digest.
 
 Each family is a fixed, seeded list of calls.  A call is rendered as one
 line, "<call> -> <output>", with Fractions written p/q and errors written
@@ -27,6 +28,15 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from periodforms.covers import (
+    BranchedTorusCover,
+    Origami,
+    Permutation,
+    construct_cover,
+    cover_class_invariants,
+    genus_of_origami,
+    period_lattice_of_cover,
+)
 from periodforms.curve_algebra import (
     Differential,
     HyperellipticCurve,
@@ -621,6 +631,78 @@ def zero_locus_calls(rng):
                 residues_of_quotient, QuadDifferential(curve, [1]), low)
 
 
+def _cover_analyze(a, b, branch):
+    """What `cover analyze` prints: genus, degree, covolume, det and the
+    period lattice of the cover with monodromy (a, b, branch)."""
+    cover = BranchedTorusCover(Permutation(a), Permutation(b), [Permutation(c) for c in branch])
+    genus, degree, covol, det = cover_class_invariants(cover)
+    return {"genus": genus, "degree": degree, "covolume": covol, "det": det,
+            "period_lattice": list(period_lattice_of_cover(cover).basis)}
+
+
+def _random_perm(rng, d):
+    images = list(range(d))
+    rng.shuffle(images)
+    return images
+
+
+def _compose(p, q):
+    """(p * q)(x) = p(q(x)) on image lists."""
+    return [p[x] for x in q]
+
+
+def _inverse(p):
+    out = [0] * len(p)
+    for x, y in enumerate(p):
+        out[y] = x
+    return out
+
+
+def cover_calls(rng):
+    """cover analyze on the deterministic covers of construct_cover, on
+    commuting cyclic monodromy (unbranched, period lattices of index up to
+    d), on random a, b closed by random branch permutations, and on a
+    violated relation and a disconnected cover; genus_of_origami on random
+    gluings, disconnected ones included."""
+    for g, d in ((2, 2), (3, 2), (2, 5), (4, 3), (5, 7)):
+        cover = construct_cover(g, d)
+        data = (cover.a.images, cover.b.images, [c.images for c in cover.branch])
+        yield "cover_analyze(construct_cover(%d, %d))" % (g, d), outcome(_cover_analyze, *data)
+    for _ in range(12):
+        d = rng.randint(1, 12)
+        i, j = rng.randrange(d), rng.randrange(d)
+        a, b = [(x + i) % d for x in range(d)], [(x + j) % d for x in range(d)]
+        yield "cover_analyze(%s, %s, [])" % (render(a), render(b)), outcome(_cover_analyze, a, b, [])
+    for trial in range(32):
+        d = rng.randint(2, 9 if trial < 24 else 4)
+        a, b = _random_perm(rng, d), _random_perm(rng, d)
+        branch = [_random_perm(rng, d) for _ in range(rng.randint(0, 2))]
+        word = _compose(_compose(_compose(a, b), _inverse(a)), _inverse(b))
+        for c in branch:
+            word = _compose(word, c)
+        branch.append(_inverse(word))
+        if trial >= 24:
+            # sheets (x, j) for j mod k: a also steps j, so the cover factors
+            # through a degree-k torus cover and the covolume can exceed 1
+            k = rng.randint(2, 3)
+            a = [a[x] + d * ((j + 1) % k) for j in range(k) for x in range(d)]
+            b = [b[x] + d * j for j in range(k) for x in range(d)]
+            branch = [[c[x] + d * j for j in range(k) for x in range(d)] for c in branch]
+        yield "cover_analyze(%s, %s, %s)" % (render(a), render(b), render(branch)), outcome(
+            _cover_analyze, a, b, branch)
+    for a, b, branch in (([1, 0, 2], [0, 2, 1], []), ([1, 0, 3, 2], [0, 1, 2, 3], [])):
+        yield "cover_analyze(%s, %s, [])" % (render(a), render(b)), outcome(_cover_analyze, a, b, branch)
+    for _ in range(40):
+        d = rng.randint(1, 10)
+        h, v = _random_perm(rng, d), _random_perm(rng, d)
+        if rng.random() < 0.2:
+            # a gluing that keeps the first square to itself
+            h[h.index(0)], h[0] = h[0], 0
+            v[v.index(0)], v[0] = v[0], 0
+        yield "genus_of_origami(%s, %s)" % (render(h), render(v)), outcome(
+            lambda: genus_of_origami(Origami(Permutation(h), Permutation(v))))
+
+
 FAMILIES = {
     "rational_elim": (11, rational_elim_calls),
     "obscurant_hyperelliptic": (12, hyperelliptic_obscurant_calls),
@@ -633,6 +715,7 @@ FAMILIES = {
     "polynomials": (19, polynomial_calls),
     "quartic": (20, quartic_calls),
     "zero_locus": (21, zero_locus_calls),
+    "covers": (22, cover_calls),
 }
 
 
