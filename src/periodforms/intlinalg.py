@@ -1,13 +1,13 @@
 """Exact linear algebra over Z and Q on plain lists of lists.
 
 Lattices are handled as lists of generator vectors (rows).  All integer
-routines use arbitrary-precision ints: Hermite forms, with or without their
-transform, come from one core, lll_reduce is the integral LLL, the
-saturation is one exact triangular solve between two Hermite forms, the
-rank over Z or Q, the integer determinant and the rational kernel and
-solve come from one fraction-free (Bareiss) elimination, which rescales a
-row only when it is next used; Fractions appear only in the kernel and
-solve results.
+routines use arbitrary-precision ints: Hermite forms come from one core,
+lll_reduce is the integral LLL, the saturation is one exact triangular
+solve between two Hermite forms, the rank over Z or Q, the integer
+determinant and the rational kernel and solve come from one forward
+fraction-free (Bareiss) elimination, which rescales a row only when it is
+next used; the kernel is read off its echelon rows by exact back
+substitution, and Fractions appear only in the kernel and solve results.
 No floating point anywhere.
 """
 
@@ -76,25 +76,11 @@ def row_hnf(rows):
 
     Pivots are positive, each strictly right of the previous one, and the
     entries above a pivot are reduced into [0, pivot).  Zero rows are
-    dropped, so equal lattices give identical outputs.  No transform is
-    carried; row_hnf_transform runs the same core with one.
+    dropped, so equal lattices give identical outputs.
     """
     a = [list(r) for r in rows]
     n = len(a[0]) if a else 0
     return [r for r in _hermite(a, n) if not is_zero_vec(r)]
-
-
-def row_hnf_transform(rows):
-    """Returns (H, U) with U unimodular, U*rows = H in Hermite form.
-
-    H keeps the full row count of the input (zero rows at the bottom are
-    preserved) so callers can read kernels off U; row_hnf strips them.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [list(r) + [1 if i == j else 0 for j in range(m)] for i, r in enumerate(rows)]
-    a = _hermite(a, n)
-    return [r[:n] for r in a], [r[n:] for r in a]
 
 
 def _hermite(a, n):
@@ -209,11 +195,10 @@ def integer_kernel(rows, width=None):
         if width is None:
             raise DomainError("kernel of an empty matrix needs an explicit width")
         return identity(width)
-    n = len(rows[0])
-    b = transpose(rows)  # n x m
-    h, u = row_hnf_transform(b)
-    ker = [u[i] for i in range(n) if is_zero_vec(h[i])]
-    return row_hnf(ker)
+    m, n = len(rows), len(rows[0])
+    # A^T with the identity riding along; the rows whose A^T part ends 0 span the kernel
+    a = [col + [int(i == j) for j in range(n)] for i, col in enumerate(transpose(rows))]
+    return row_hnf([r[m:] for r in _hermite(a, m) if is_zero_vec(r[:m])])
 
 
 def saturate_rows(rows, width=None):
@@ -271,9 +256,9 @@ def integer_det(rows):
     return last if len(pivots) == len(rows) else 0
 
 
-def _bareiss(rows, reduce=False):
-    """Fraction-free elimination (Cohen, A Course in Computational Algebraic
-    Number Theory, 2.2): returns (rows, pivot columns, last pivot).
+def _bareiss(rows):
+    """Forward fraction-free elimination (Bareiss, Math. Comp. 22, 1968;
+    Cohen, GTM 138, 2.2): returns (rows, pivot columns, last pivot).
 
     After k pivots every live entry is a (k+1)-minor of the input, so the
     division by the previous pivot is exact and entry sizes stay
@@ -282,12 +267,6 @@ def _bareiss(rows, reduce=False):
     determinant, sign included.  Below the pivot row every column up to
     the pivot's is zero, so only the columns right of it are updated.
 
-    With reduce, the rows above the pivot row take the same update
-    (fraction-free Gauss-Jordan: Bareiss, Math. Comp. 22, 1968; Nakos,
-    Turner and Williams, SIGSAM Bull. 31, 1997).  Every pivot then ends
-    equal to the last one, d, and the pivot columns vanish off their pivot
-    rows, so the rows divided by d are the reduced row echelon form.
-
     Rescaling is lazy.  The eager step at pivot p turns a row with 0 in the
     pivot column into p x / prev; here that row is left as it is, stamped
     with the pivot s it is current with.  The per-step factors telescope,
@@ -295,11 +274,9 @@ def _bareiss(rows, reduce=False):
     one exact division x prev // s.  The eager update (p x - f y) / prev of
     the caught-up row is (p x - f y) / s on the stamped row, exact because
     the eager result is an integer, so a row with f != 0 catches up within
-    its update.  The pivot row catches up before its pivot is read; the
-    eager step never rescales it at its own pivot, so it is stamped with
-    its own pivot p.  Without reduce a pivot row is final once chosen and
-    the rows below the last pivot row end zero; with reduce every row
-    catches up before returning.  So the result is the eager one.
+    its update.  The pivot row catches up before its pivot is read and is
+    final once chosen, and the rows below the last pivot row end zero, so
+    the result is the eager one.
     """
     a = list(rows)
     m = len(a)
@@ -328,42 +305,44 @@ def _bareiss(rows, reduce=False):
                 s = stamp[i]
                 a[i] = zeros + [(p * x - f * y) // s for x, y in zip(row[c + 1:], tail)]
                 stamp[i] = p
-        if reduce:
-            for i in range(rank):
-                row = a[i]
-                f = row[c]
-                if f:
-                    s = stamp[i]
-                    a[i] = [(p * x - f * y) // s for x, y in zip(row, top)]
-                    stamp[i] = p
         prev = p
         pivots.append(c)
-    if reduce:
-        for i in range(m):
-            s = stamp[i]
-            if s != prev:
-                a[i] = [x * prev // s for x in a[i]]
     return a, pivots, prev
 
 
 def rational_kernel(rows, width=None):
     """Basis of the rational null space {x : A x = 0} as Fraction vectors,
-    one per free column; no rows means the zero map on width coordinates."""
+    one per free column; no rows means the zero map on width coordinates.
+
+    The vector x of free column fc is the unique kernel vector that is 1
+    at fc and 0 at the other free columns.  Back substitution reads it off
+    the echelon rows a_i of the cleared rows, pivot columns p_0 < ... <
+    p_(r-1), from the bottom row up.  The last pivot d is, up to sign, the
+    minor of the cleared rows taken as pivot rows on the pivot columns, so
+    by Cramer's rule y = d x is integral, and row i gives
+    y[p_i] = -(d a_i[fc] + sum over j > i of a_i[p_j] y[p_j]) / a_i[p_i],
+    exact because its quotient is the integer y[p_i].  The division is
+    checked explicitly, so the check still runs under python -O.
+    """
     if not rows:
         if width is None:
             raise DomainError("kernel of an empty matrix needs an explicit width")
         rows = [[0] * width]
-    a, pivots, d = _bareiss(clear_denominators(rows)[0], reduce=True)
+    a, pivots, d = _bareiss(clear_denominators(rows)[0])
     n = len(rows[0])
     basis = []
     for fc in range(n):
         if fc in pivots:
             continue
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = Fraction(-a[r][fc], d)
-        basis.append(v)
+        y = [0] * n
+        y[fc] = d
+        for i in range(len(pivots) - 1, -1, -1):
+            row, pc = a[i], pivots[i]
+            q, r = divmod(-sum(map(mul, row, y)), row[pc])
+            if r:
+                raise DomainError("rational kernel: inexact back substitution")
+            y[pc] = q
+        basis.append([Fraction(x, d) for x in y])
     return basis
 
 

@@ -611,3 +611,81 @@ def test_output_integer_past_the_digit_limit_exits_1(capsys):
             "error: an output integer has more than %d digits, the interpreter's"
             " limit for int-to-str conversion\n" % sys.get_int_max_str_digits()
         )
+
+
+MUTATION_SEEDS = [
+    (["realizable", "line"], json.loads(LINE_INPUT)),
+    (["realizable", "pair"], json.loads(PAIR_WITNESS_INPUT)),
+    (["lattice", "det"], {"genus": 2, "vectors": [[2, 0, 0, 0], [0, 2, 0, 0]]}),
+    (["lattice", "saturate"], {"genus": 2, "vectors": [[2, 0, 0, 0], [0, 2, 2, 0]]}),
+    (["lattice", "normal-form"], {"genus": 2, "vectors": [[1, 0, 0, 0], [0, 3, 0, 0]]}),
+    (["lattice", "extend"], {"genus": 2, "vector": [1, 2, 3, 4]}),
+    (["lattice", "map2"], {"source": {"genus": 2, "vectors": [[1, 0, 0, 0], [0, 1, 0, 0]]},
+                           "target": {"genus": 2, "vectors": [[0, 0, 1, 0], [0, 0, 0, 1]]}}),
+    (["cover", "analyze"], {"a": [1, 2, 3, 0], "b": [0, 1, 2, 3], "branch": [[1, 0, 2, 3], [1, 0, 2, 3]]}),
+    (["cover", "origami-genus"], {"horizontal": [1, 2, 0], "vertical": [1, 0, 2]}),
+    (["curve", "classify"], {"curve": GENUS2_CURVE, "differentials": [[0, 1], [1, 0]]}),
+    (["curve", "obscurant"], {"curve": GENUS2_CURVE, "differentials": [[0, 1], [1, 0]]}),
+    (["curve", "overlap"], {"curve": GENUS2_CURVE, "alpha": [0, 1], "beta": [1, 0]}),
+    (["curve", "noether"], {"curve": FERMAT}),
+    (["curve", "residues"], {"curve": GENUS2_CURVE, "omega": {"q": ["1"]}, "alpha": ["-2", "1"]}),
+    (["curve", "sections"], {"curve": GENUS2_CURVE, "gamma": [0, 1], "beta": [1, 0], "alpha": ["-2", "1"]}),
+    (["curve", "cross-ratio"], {"curve": FERMAT, "alpha": [1, 0, 0], "beta": [0, 1, 0], "gamma": [0, 0, 1]}),
+]
+MUTATION_ATOMS = [0, 1, -1, 3, -7, 10**6, 10**40, "1/2", "-3", "0", "1/0", "x", "", 1.5, True, None,
+                  [], {}, [0], [[0]], ["1", "0"]]
+
+
+def _nodes(doc, path=()):
+    """Every (path, value) of a JSON document, the root included."""
+    yield path, doc
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _mutated(rng, doc):
+    """doc (deep-copied) with one node replaced, deleted, duplicated or
+    wrapped in a list; a list or object may gain an unknown entry."""
+    doc = json.loads(json.dumps(doc))
+    path, node = rng.choice([(p, v) for p, v in _nodes(doc) if p])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key, kind = path[-1], rng.choice(["replace", "replace", "delete", "duplicate", "wrap", "extra"])
+    if kind == "replace":
+        parent[key] = rng.choice(MUTATION_ATOMS)
+    elif kind == "delete":
+        del parent[key]
+    elif kind == "duplicate" and isinstance(parent, list):
+        parent.insert(key, node)
+    elif kind == "extra":
+        if isinstance(parent, list):
+            parent.append(rng.choice(MUTATION_ATOMS))
+        else:
+            parent["unknown"] = rng.choice(MUTATION_ATOMS)
+    else:
+        parent[key] = [node]
+    return doc
+
+
+def test_mutated_inputs_exit_0_1_or_2(capsys):
+    # no mutation of a valid document may end in a traceback: the exit code
+    # is 0, 1 (a domain error) or 2 (malformed input), nothing else
+    rng = random.Random(22)
+    for trial in range(300):
+        argv, doc = rng.choice(MUTATION_SEEDS)
+        doc = _mutated(rng, doc)
+        if trial % 3 == 0:
+            doc = _mutated(rng, doc)
+        text = json.dumps(doc)
+        if trial % 10 == 0:
+            # and a text edit: one character dropped, which may break the JSON
+            i = rng.randrange(len(text))
+            text = text[:i] + text[i + 1:]
+        try:
+            code = main(argv + ["--input", text])
+        except Exception as exc:  # pragma: no cover - the failure message
+            pytest.fail("%s --input %s raised %r" % (" ".join(argv), text, exc))
+        capsys.readouterr()
+        assert code in (0, 1, 2), (argv, text, code)

@@ -23,7 +23,6 @@ from periodforms.intlinalg import (
     rational_rank,
     rational_solve,
     row_hnf,
-    row_hnf_transform,
     saturate_rows,
     transpose,
 )
@@ -114,13 +113,22 @@ def fraction_solve(rows, rhs):
     return x
 
 
+def hermite_transform(rows):
+    """(H, U) with U * rows = H: the Hermite core run on the rows with the
+    identity riding along; H keeps every row, zero rows last."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    a = intlinalg._hermite([list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(rows)], n)
+    return [r[:n] for r in a], [r[n:] for r in a]
+
+
 def test_hnf_transform_reconstructs():
     rng = random.Random(3)
     for _ in range(60):
         m = rng.randint(1, 4)
         n = rng.randint(1, 5)
         a = random_matrix(rng, m, n)
-        h, u = row_hnf_transform(a)
+        h, u = hermite_transform(a)
         assert mat_eq(mat_mul(u, a), h)
         assert is_unimodular(u)
 
@@ -352,8 +360,49 @@ def rational_systems(draw):
     return rows, n, rhs
 
 
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def wide_kernel_systems(draw):
+    """(rows, width, rhs) with large kernels: rank-deficient rational
+    matrices of up to 12 columns, and the cleared multiplication matrix of
+    a hyperelliptic pair or triple of genus 2-8 (column (i, j) holds the
+    coefficients of p_i x^j over x^0 .. x^(2g-2)), its forms sharing a
+    factor or not; rhs is A x or moved off the column span."""
+    coeff = st.integers(-999, 999)
+    if draw(st.booleans()):
+        n, rank = draw(st.integers(1, 12)), draw(st.integers(0, 5))
+        entry = st.one_of(st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=12))
+        base = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=rank, max_size=rank))
+        rows = []
+        for _ in range(draw(st.integers(1, 10))):
+            cs = draw(st.lists(entry, min_size=rank, max_size=rank))
+            rows.append([sum((c * b[k] for c, b in zip(cs, base)), Fraction(0)) for k in range(n)])
+    else:
+        genus, size = draw(st.integers(2, 8)), draw(st.sampled_from([2, 3]))
+        h = [1]
+        if draw(st.booleans()):
+            h = draw(st.lists(coeff, min_size=1, max_size=genus - 1)) + [draw(st.integers(1, 9))]
+        forms = [_poly_mul(h, draw(st.lists(coeff, min_size=1, max_size=genus + 1 - len(h))))
+                 for _ in range(size)]
+        n = size * genus
+        rows = [[p[k - j] if 0 <= k - j < len(p) else 0 for p in forms for j in range(genus)]
+                for k in range(2 * genus - 1)]
+    x = draw(st.lists(coeff, min_size=n, max_size=n))
+    rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+    if draw(st.booleans()):
+        rhs[draw(st.integers(0, len(rows) - 1))] += 1
+    return rows, n, rhs
+
+
 @settings(max_examples=200, deadline=None)
-@given(rational_systems())
+@given(st.one_of(rational_systems(), wide_kernel_systems()))
 def test_rational_kernel_and_solve_match_fraction_gauss_jordan(system):
     rows, n, rhs = system
     # repr compares exactly: every entry a Fraction, in lowest terms
@@ -364,6 +413,21 @@ def test_rational_kernel_and_solve_match_fraction_gauss_jordan(system):
             rational_solve(rows, rhs)
     else:
         assert repr(rational_solve(rows, rhs)) == repr(expected)
+
+
+def test_rational_kernel_rejects_an_inexact_back_substitution(monkeypatch):
+    # doubling the first pivot entry leaves the last pivot d = 1, so the
+    # back substitution would need y = -1/2 and cannot divide exactly
+    real = intlinalg._bareiss
+
+    def doubled(rows):
+        a, pivots, d = real(rows)
+        a[0] = [2 * a[0][0]] + a[0][1:]
+        return a, pivots, d
+
+    monkeypatch.setattr(intlinalg, "_bareiss", doubled)
+    with pytest.raises(DomainError, match="inexact"):
+        rational_kernel([[1, 1]], 2)
 
 
 @st.composite
@@ -476,10 +540,10 @@ def test_bareiss_on_sparse_matrices(rows):
             assert integer_det(rows) == leibniz_det(rows)
 
 
-def eager_bareiss(rows, reduce=False):
+def eager_bareiss(rows):
     """The eager elimination that the lazy _bareiss replaced: at every
-    pivot p, each row below the pivot row, and with reduce each row above
-    it, becomes (p x - f y) / prev, a row with f = 0 included."""
+    pivot p, each row below the pivot row becomes (p x - f y) / prev, a
+    row with f = 0 included."""
     a = list(rows)
     m = len(a)
     n = len(a[0]) if m else 0
@@ -503,11 +567,6 @@ def eager_bareiss(rows, reduce=False):
                 a[i] = zeros + [(p * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
             else:
                 a[i] = zeros + [p * x // prev for x in row[c + 1:]]
-        if reduce:
-            for i in range(rank):
-                row = a[i]
-                f = row[c]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
         prev = p
         pivots.append(c)
     return a, pivots, prev
@@ -535,10 +594,10 @@ def macaulay_matrices(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(sparse_matrices(), integer_matrices(), macaulay_matrices()), st.booleans())
-def test_lazy_bareiss_matches_the_eager_oracle(rows, reduce):
-    a, pivots, last = intlinalg._bareiss(rows, reduce)
-    b, expected_pivots, expected_last = eager_bareiss(rows, reduce)
+@given(st.one_of(sparse_matrices(), integer_matrices(), macaulay_matrices()))
+def test_lazy_bareiss_matches_the_eager_oracle(rows):
+    a, pivots, last = intlinalg._bareiss(rows)
+    b, expected_pivots, expected_last = eager_bareiss(rows)
     assert (pivots, last) == (expected_pivots, expected_last)
     assert [list(r) for r in a] == [list(r) for r in b]
 
@@ -556,17 +615,50 @@ def test_integer_det_small_cases():
 @settings(max_examples=200, deadline=None)
 @given(integer_matrices())
 def test_row_hnf_is_the_transform_without_zero_rows(rows):
-    h, u = row_hnf_transform(rows)
+    h, u = hermite_transform(rows)
     assert row_hnf(rows) == [r for r in h if any(r)]
     assert len(h) == len(u) == len(rows)
     assert mat_mul(u, rows) == h
     assert is_unimodular(u)
 
 
+@st.composite
+def recombined_matrices(draw):
+    """(rows, recombined): the rows after a few unimodular row operations,
+    swaps, sign changes and adding a multiple of one row to another."""
+    rows = [list(r) for r in draw(integer_matrices())]
+    moved = [list(r) for r in rows]
+    for _ in range(draw(st.integers(0, 8)) if len(rows) > 1 else 0):
+        i, j = draw(st.permutations(range(len(rows))))[:2]
+        kind = draw(st.sampled_from(["swap", "negate", "add"]))
+        if kind == "swap":
+            moved[i], moved[j] = moved[j], moved[i]
+        elif kind == "negate":
+            moved[i] = [-x for x in moved[i]]
+        else:
+            k = draw(st.integers(-5, 5))
+            moved[i] = [x + k * y for x, y in zip(moved[i], moved[j])]
+    return rows, moved
+
+
+@settings(max_examples=200, deadline=None)
+@given(recombined_matrices())
+def test_row_hnf_is_invariant_under_unimodular_recombination(case):
+    rows, moved = case
+    h = row_hnf(moved)
+    assert h == row_hnf(rows)
+    last = -1
+    for i, r in enumerate(h):
+        pc = next(c for c, x in enumerate(r) if x)
+        assert pc > last and r[pc] > 0
+        assert all(0 <= h[k][pc] < r[pc] for k in range(i))
+        last = pc
+
+
 def test_row_hnf_transform_of_nothing():
     assert row_hnf([]) == []
-    assert row_hnf_transform([]) == ([], [])
-    assert row_hnf_transform([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], [[1, 0], [0, 1]])
+    assert hermite_transform([]) == ([], [])
+    assert hermite_transform([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], [[1, 0], [0, 1]])
 
 
 def fraction_gram_schmidt(rows):
