@@ -197,7 +197,7 @@ def integer_kernel(rows, width=None):
         return identity(width)
     m, n = len(rows), len(rows[0])
     # A^T with the identity riding along; the rows whose A^T part ends 0 span the kernel
-    a = [col + [int(i == j) for j in range(n)] for i, col in enumerate(transpose(rows))]
+    a = [col + e for col, e in zip(transpose(rows), identity(n))]
     return row_hnf([r[m:] for r in _hermite(a, m) if is_zero_vec(r[:m])])
 
 
@@ -315,34 +315,35 @@ def rational_kernel(rows, width=None):
     one per free column; no rows means the zero map on width coordinates.
 
     The vector x of free column fc is the unique kernel vector that is 1
-    at fc and 0 at the other free columns.  Back substitution reads it off
-    the echelon rows a_i of the cleared rows, pivot columns p_0 < ... <
-    p_(r-1), from the bottom row up.  The last pivot d is, up to sign, the
-    minor of the cleared rows taken as pivot rows on the pivot columns, so
-    by Cramer's rule y = d x is integral, and row i gives
-    y[p_i] = -(d a_i[fc] + sum over j > i of a_i[p_j] y[p_j]) / a_i[p_i],
-    exact because its quotient is the integer y[p_i].  The division is
-    checked explicitly, so the check still runs under python -O.
+    at fc and 0 at the other free columns.  It is read off the echelon
+    rows a_i (pivot columns p_0 < ... < p_(r-1)) from the bottom up.  The
+    last pivot d is, up to sign, the minor of the cleared rows taken as
+    pivot rows on the pivot columns, so y = d x is integral (Cramer), and
+    y[p_i] = -(d a_i[fc] + sum over j > i of a_i[p_j] y[p_j]) / a_i[p_i]
+    divides exactly, its quotient being the integer y[p_i].  The division
+    is checked explicitly, so the check still runs under python -O.
     """
     if not rows:
         if width is None:
             raise DomainError("kernel of an empty matrix needs an explicit width")
         rows = [[0] * width]
     a, pivots, d = _bareiss(clear_denominators(rows)[0])
-    n = len(rows[0])
+    n, r = len(rows[0]), len(pivots)
+    tri = [[a[i][pc] for pc in pivots] for i in range(r)]
     basis = []
     for fc in range(n):
         if fc in pivots:
             continue
-        y = [0] * n
-        y[fc] = d
-        for i in range(len(pivots) - 1, -1, -1):
-            row, pc = a[i], pivots[i]
-            q, r = divmod(-sum(map(mul, row, y)), row[pc])
-            if r:
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        y = [0] * r
+        for i in range(r - 1, -1, -1):
+            q, rem = divmod(-d * a[i][fc] - sum(map(mul, tri[i], y)), tri[i][i])
+            if rem:
                 raise DomainError("rational kernel: inexact back substitution")
-            y[pc] = q
-        basis.append([Fraction(x, d) for x in y])
+            y[i] = q
+            v[pivots[i]] = Fraction(q, d)
+        basis.append(v)
     return basis
 
 
