@@ -295,8 +295,8 @@ def _bareiss(rows):
             top = [x * prev // s for x in top]
         if piv != rank:
             a[piv], stamp[piv] = [-x for x in a[rank]], stamp[rank]
+        a[rank] = top
         p = top[c]
-        a[rank], stamp[rank] = top, p
         zeros, tail = [0] * (c + 1), top[c + 1:]
         for i in range(rank + 1, m):
             row = a[i]
