@@ -32,6 +32,7 @@ from periodforms.covers import (
     BranchedTorusCover,
     Origami,
     Permutation,
+    commutator,
     construct_cover,
     cover_class_invariants,
     genus_of_origami,
@@ -646,24 +647,12 @@ def _random_perm(rng, d):
     return images
 
 
-def _compose(p, q):
-    """(p * q)(x) = p(q(x)) on image lists."""
-    return [p[x] for x in q]
-
-
-def _inverse(p):
-    out = [0] * len(p)
-    for x, y in enumerate(p):
-        out[y] = x
-    return out
-
-
 def cover_calls(rng):
     """cover analyze on the deterministic covers of construct_cover, on
     commuting cyclic monodromy (unbranched, period lattices of index up to
-    d), on random a, b closed by random branch permutations, and on a
-    violated relation and a disconnected cover; genus_of_origami on random
-    gluings, disconnected ones included."""
+    d), on random a, b closed by random branch permutations, some lifted
+    to k sheets over each, and on a violated relation and a disconnected
+    cover; genus_of_origami on random gluings, disconnected ones included."""
     for g, d in ((2, 2), (3, 2), (2, 5), (4, 3), (5, 7)):
         cover = construct_cover(g, d)
         data = (cover.a.images, cover.b.images, [c.images for c in cover.branch])
@@ -677,10 +666,10 @@ def cover_calls(rng):
         d = rng.randint(2, 9 if trial < 24 else 4)
         a, b = _random_perm(rng, d), _random_perm(rng, d)
         branch = [_random_perm(rng, d) for _ in range(rng.randint(0, 2))]
-        word = _compose(_compose(_compose(a, b), _inverse(a)), _inverse(b))
+        word = commutator(Permutation(a), Permutation(b))
         for c in branch:
-            word = _compose(word, c)
-        branch.append(_inverse(word))
+            word = word.compose(Permutation(c))
+        branch.append(word.inverse().to_list())
         if trial >= 24:
             # sheets (x, j) for j mod k: a also steps j, so the cover factors
             # through a degree-k torus cover and the covolume can exceed 1

@@ -646,9 +646,13 @@ def _nodes(doc, path=()):
 
 def _mutated(rng, doc):
     """doc (deep-copied) with one node replaced, deleted, duplicated or
-    wrapped in a list; a list or object may gain an unknown entry."""
+    wrapped in a list; a list or object may gain an unknown entry.  An
+    empty document comes back as it is."""
     doc = json.loads(json.dumps(doc))
-    path, node = rng.choice([(p, v) for p, v in _nodes(doc) if p])
+    nodes = [(p, v) for p, v in _nodes(doc) if p]
+    if not nodes:
+        return doc
+    path, node = rng.choice(nodes)
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
@@ -685,7 +689,7 @@ def test_mutated_inputs_exit_0_1_or_2(capsys):
             text = text[:i] + text[i + 1:]
         try:
             code = main(argv + ["--input", text])
-        except Exception as exc:  # pragma: no cover - the failure message
+        except Exception as exc:
             pytest.fail("%s --input %s raised %r" % (" ".join(argv), text, exc))
         capsys.readouterr()
         assert code in (0, 1, 2), (argv, text, code)
