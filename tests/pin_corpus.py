@@ -3,7 +3,8 @@ or rational_solve, of every multiplication-map dimension and verdict, of
 the saturations, lattice invariants and line verdicts behind the periods
 path, of the polynomial gcd, squarefree test and rational roots, of the
 quartic smoothness and cross-ratio verdicts, of the exact residues and
-section values and of the cover invariants and origami genera, pinned by
+section values, of the cover invariants and origami genera and of the
+Sp(2g, Z) maps between complete rank-2 and rank-4 sublattices, pinned by
 digest.
 
 Each family is a fixed, seeded list of calls.  A call is rendered as one
@@ -73,6 +74,8 @@ from periodforms.symplectic_lattice import (
     determinant,
     extend_to_symplectic_basis,
     is_complete,
+    map_rank2_sublattice,
+    map_rank4_sublattice,
     omega,
     saturate,
 )
@@ -692,6 +695,97 @@ def cover_calls(rng):
             lambda: genus_of_origami(Origami(Permutation(h), Permutation(v))))
 
 
+def _pairs(genus, pairs):
+    """Generators e_i, d f_i + m e_(i+1) of the pairs (d, m), i = 0, 1, ...:
+    with gcd(m, d) = 1 (m = 0 at d = 1) a complete sublattice whose
+    divisors are the d."""
+    n = 2 * genus
+    rows = []
+    for i, (d, m) in enumerate(pairs):
+        x, y = [0] * n, [0] * n
+        x[2 * i], y[2 * i + 1] = 1, d
+        if m:
+            y[2 * i + 2] = m
+        rows += [x, y]
+    return rows
+
+
+def _scrambled(rng, genus, rows, steps=3):
+    """rows moved by a random Sp(2g, Z) matrix, then recombined by unimodular
+    row operations, so that the adapted basis is not given away."""
+    cols = random_sp_cols(rng, genus, steps)
+    rows = [apply_cols(cols, v) for v in rows]
+    for _ in range(len(rows)):
+        i, j = rng.sample(range(len(rows)), 2)
+        c = rng.randint(-2, 2)
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+def _map(fn, u, u2):
+    return fn(Sublattice(u), Sublattice(u2)).entries
+
+
+def _map_call(fn, u, u2):
+    return "%s(%s, %s)" % (fn.__name__, render(u), render(u2)), outcome(_map, fn, u, u2)
+
+
+def map_calls(rng):
+    """map_rank2_sublattice on complete rank-2 sublattices of every genus
+    1-8 and determinant 1-20, map_rank4_sublattice on rank-4 ones of genus
+    2-8 and second divisor 1-20, both scrambled by Sp(2g, Z) and unimodular
+    recombination; unscrambled inputs whose residue m is 0 or has m mod d
+    outside {0, 1}; wrong rank, different genera, unequal determinants,
+    incomplete and degenerate input, and first divisor 2."""
+    for genus in range(1, 9):
+        for d in range(1, 21 if genus > 1 else 2):
+            rows = _pairs(genus, [(d, int(d > 1))])
+            yield _map_call(map_rank2_sublattice, _scrambled(rng, genus, rows), _scrambled(rng, genus, rows))
+    for genus in range(2, 9):
+        for d in range(1, 21 if genus > 2 else 2):
+            rows = _pairs(genus, [(1, 0), (d, int(d > 1))])
+            yield _map_call(map_rank4_sublattice, _scrambled(rng, genus, rows), _scrambled(rng, genus, rows))
+    for genus in (1, 2, 5):
+        rows = _pairs(genus, [(1, 0)])
+        yield _map_call(map_rank2_sublattice, rows, _scrambled(rng, genus, rows))
+    for d, m in ((3, 2), (5, 3), (7, 12), (8, 5), (20, 9), (4, -1), (9, 5)):
+        for genus in (2, 4):
+            rows = _pairs(genus, [(d, m)])
+            yield _map_call(map_rank2_sublattice, rows, _scrambled(rng, genus, rows))
+            yield _map_call(map_rank2_sublattice, _scrambled(rng, genus, rows), rows)
+            rows = _pairs(genus + 1, [(1, 0), (d, m)])
+            yield _map_call(map_rank4_sublattice, rows, _scrambled(rng, genus + 1, rows))
+    rank2 = _pairs(3, [(2, 1)])
+    rank4 = _pairs(3, [(1, 0), (2, 1)])
+    e0, f0, e1, f1, e2 = ([int(i == k) for i in range(6)] for k in range(5))
+    bad = [
+        (map_rank2_sublattice, rank4, rank4),
+        (map_rank2_sublattice, rank2, rank4),
+        (map_rank4_sublattice, rank2, rank2),
+        (map_rank4_sublattice, rank2, rank4),
+        (map_rank2_sublattice, rank2, _pairs(2, [(2, 1)])),
+        (map_rank2_sublattice, rank2, _pairs(3, [(3, 1)])),
+        (map_rank4_sublattice, rank4, _pairs(3, [(1, 0), (1, 0)])),
+        (map_rank2_sublattice, [e0, [2 * x for x in f0]], rank2),
+        (map_rank2_sublattice, rank2, [[2 * x for x in e0], f0]),
+        (map_rank4_sublattice, [e0, f0, e1, [4 * x for x in f1]], _pairs(3, [(1, 0), (4, 1)])),
+        (map_rank4_sublattice, [[2 * x for x in e0], f0, [2 * x for x in e1], f1], [e0, f0, e1, f1]),
+        (map_rank4_sublattice, [[2 * x for x in e0], f0, [2 * x for x in e1], f1],
+         [[2 * x for x in e0], f0, [2 * x for x in e1], f1]),
+        (map_rank2_sublattice, [e0, e1], rank2),
+        (map_rank2_sublattice, rank2, [e0, e1]),
+        (map_rank4_sublattice, [e0, f0, e1, e2], rank4),
+        (map_rank4_sublattice, rank4, [e0, e1, f1, e2]),
+        (map_rank2_sublattice, [e0, [x + y for x, y in zip(e0, e1)]], rank2),
+    ]
+    # complete, with divisors (2, 2): not in the orbit of divisors (1, 4)
+    e = [[int(i == k) for i in range(8)] for k in range(8)]
+    even = [e[0], [2 * x + y for x, y in zip(e[1], e[4])], e[2], [2 * x + y for x, y in zip(e[3], e[6])]]
+    bad += [(map_rank4_sublattice, even, even), (map_rank4_sublattice, even, _pairs(4, [(1, 0), (4, 1)]))]
+    for fn, u, u2 in bad:
+        yield _map_call(fn, u, u2)
+
+
 FAMILIES = {
     "rational_elim": (11, rational_elim_calls),
     "obscurant_hyperelliptic": (12, hyperelliptic_obscurant_calls),
@@ -705,6 +799,7 @@ FAMILIES = {
     "quartic": (20, quartic_calls),
     "zero_locus": (21, zero_locus_calls),
     "covers": (22, cover_calls),
+    "maps": (23, map_calls),
 }
 
 
