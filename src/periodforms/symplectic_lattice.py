@@ -331,7 +331,9 @@ def extend_to_symplectic_basis(v, genus=None) -> SpMatrix:
     comp = integer_kernel([cov, _covector(w)], n)
     entries = transpose([v, w] + _symplectic_complement(comp))
     a = SpMatrix(entries)
-    assert [row[0] for row in a.entries] == v
+    # an explicit check, so it still runs under python -O
+    if [row[0] for row in a.entries] != v:
+        raise DomainError("extension does not start with the vector")
     return a
 
 
@@ -411,78 +413,83 @@ def _canonical_rank2(d: int, genus: int) -> Sublattice:
     return Sublattice([e0, y])
 
 
-def _reduce_rank2_to_canonical(lattice: Sublattice):
-    """Returns (R, d) with R in Sp(2g, Z) mapping the complete rank-2 input
-    onto the canonical lattice of its determinant.
+def _reduce_pair(x, y, d: int, genus: int) -> SpMatrix:
+    """R in Sp(2g, Z) mapping span(x, y) onto the canonical lattice of d,
+    for an adapted pair of a complete lattice: omega(x, y) = d > 0.
 
-    Follows the quotient construction: an adapted basis x, y with
-    omega(x, y) = d, x moved to e0, then the residue of y in the quotient
-    e0-perp / e0 is normalized by Sp(2g-2, Z) together with a shear solving
-    d*[x] + [A][u] = [u'].
+    Follows the quotient construction: x is moved to e0, and the residue of
+    y in the quotient e0-perp / e0, m times a primitive vector, is moved to
+    m*e1 by Sp(2g-2, Z).  Unless m = 1 (mod d), the extension of (t, d)
+    with m*t = 1 (mod d) then turns it into m*t*e1 + m*d*f1, and m*t
+    takes the place of m.  A shear fixing e0 and sending f0 to f0 + w ends
+    it: w = -k*e1 with k = (m - 1) // d (k = m at d = 1), minus m*f1 in the
+    general case, leaves d*f0 + e1 (f0 at d = 1).
     """
-    g = lattice.genus
-    nf = alternating_normal_form(lattice)
-    d = nf.divisors[0]
-    x, y = nf.basis.vectors
     # explicit checks, so they still run under python -O
     if not is_indivisible(x):
         raise DomainError("adapted basis of a complete lattice is primitive")
-    a1 = extend_to_symplectic_basis(x, g)
-    r = a1.inverse()
+    r = extend_to_symplectic_basis(x, genus).inverse()
     y1 = r.apply(y)
     if y1[1] != d:
         raise DomainError("pairing with e0 must equal the divisor")
-    z = list(y1[2:])
+    z = y1[2:]
     if is_zero_vec(z):
         if d != 1:
             raise DomainError("sublattice not complete")
-        return r, 1
-    if g < 2:
+        return r
+    if genus < 2:
         raise DomainError("unexpected residue at genus 1")
     m = vec_gcd(z)
     if gcd(m, d) != 1:
         raise DomainError("sublattice not complete")
-    w = [t // m for t in z]
-    b1 = extend_to_symplectic_basis(w, g - 1)
-    r = _embed_reduced(b1.inverse(), g).compose(r)
+    b1 = extend_to_symplectic_basis([t // m for t in z], genus - 1)
+    r = _embed_reduced(b1.inverse(), genus).compose(r)
     # the moved lattice is span{e0, d*f0 + m*e1 (mod e0)}
-    if d == 1:
-        red = [0] * (2 * g - 2)
-        red[0] = -m
-        r = _shear(red, g).compose(r)
-        _check_canonical(r, lattice, 1)
-        return r, 1
-    if m % d == 1:
-        k = (m - 1) // d
-        red = [0] * (2 * g - 2)
-        red[0] = -k
-        r = _shear(red, g).compose(r)
-        _check_canonical(r, lattice, d)
-        return r, d
-    t = pow(m % d, -1, d)
-    w2 = [0] * (2 * g - 2)
-    w2[0] = t
-    w2[1] = d
-    b2 = extend_to_symplectic_basis(w2, g - 1)
-    r = _embed_reduced(b2, g).compose(r)
-    # now the residue is m*t*e1 + m*d*f1 with m*t = 1 + k*d
-    k = (m * t - 1) // d
-    red = [0] * (2 * g - 2)
-    red[0] = -k
-    red[1] = -m
-    r = _shear(red, g).compose(r)
-    _check_canonical(r, lattice, d)
-    return r, d
+    red = [0] * (2 * genus - 2)
+    if m % d > 1:
+        t = pow(m, -1, d)
+        b2 = extend_to_symplectic_basis([t, d] + [0] * (2 * genus - 4), genus - 1)
+        r = _embed_reduced(b2, genus).compose(r)
+        m, red[1] = m * t, -m
+    red[0] = -((m - (d > 1)) // d)
+    r = _shear(red, genus).compose(r)
+    _check_canonical(r, x, y, d)
+    return r
 
 
-def _check_canonical(r: SpMatrix, lattice: Sublattice, d: int):
-    image = r.apply_lattice(lattice)
-    target = _canonical_rank2(d, lattice.genus)
-    if not image.same_lattice(target):
+def _check_canonical(r: SpMatrix, x, y, d: int):
+    image = Sublattice([r.apply(x), r.apply(y)], genus=r.genus)
+    if not image.same_lattice(_canonical_rank2(d, r.genus)):
         raise DomainError("canonical reduction failed")
 
 
-def _validate_pair(u: Sublattice, u2: Sublattice, rank: int):
+def _reduce_to_canonical(lattice: Sublattice) -> SpMatrix:
+    """R in Sp(2g, Z) mapping the complete rank-2 or rank-4 input onto the
+    canonical lattice of its divisors.
+
+    One normal form gives the adapted pairs.  _reduce_pair takes the first
+    onto span(e0, f0) (first divisor 1 when a second pair follows); the
+    second pair then lies in the complement of e0, f0, where _reduce_pair
+    reduces it in Sp(2g-2, Z), embedded fixing e0 and f0.
+    """
+    g = lattice.genus
+    nf = alternating_normal_form(lattice)
+    x, y, *second = nf.basis.vectors
+    # explicit checks, so they still run under python -O
+    if second and nf.divisors[0] != 1:
+        raise DomainError("restriction not indivisible")
+    r = _reduce_pair(x, y, nf.divisors[0], g)
+    if not second:
+        return r
+    x2, y2 = (r.apply(v) for v in second)
+    if any(x2[:2]) or any(y2[:2]):
+        raise DomainError("second factor must land in the complement of e0, f0")
+    if not is_complete(Sublattice([x2[2:], y2[2:]], genus=g - 1)):
+        raise DomainError("sublattice not complete")
+    return _embed_reduced(_reduce_pair(x2[2:], y2[2:], nf.divisors[1], g - 1), g).compose(r)
+
+
+def _map_sublattice(u: Sublattice, u2: Sublattice, rank: int) -> SpMatrix:
     if u.genus != u2.genus:
         raise DomainError("sublattices live in different ambients")
     if u.rank != rank or u2.rank != rank:
@@ -493,54 +500,23 @@ def _validate_pair(u: Sublattice, u2: Sublattice, rank: int):
         raise DomainError("unequal determinants: %d vs %d" % (d1, d2))
     if not is_complete(u) or not is_complete(u2):
         raise DomainError("sublattice not complete")
-    return d1
+    r1 = _reduce_to_canonical(u)
+    r2 = _reduce_to_canonical(u2)
+    # SpMatrix revalidates the product and the image is compared explicitly,
+    # so both checks still run under python -O
+    delta = SpMatrix(r2.inverse().compose(r1).entries)
+    if not delta.apply_lattice(u).same_lattice(u2):
+        raise DomainError("rank-%d mapping failed" % rank)
+    return delta
 
 
 def map_rank2_sublattice(u: Sublattice, u2: Sublattice) -> SpMatrix:
     """An integral symplectic matrix sending the first complete rank-2
     sublattice onto the second; equal determinants required."""
-    _validate_pair(u, u2, 2)
-    r1, _ = _reduce_rank2_to_canonical(u)
-    r2, _ = _reduce_rank2_to_canonical(u2)
-    # SpMatrix revalidates the product and the image is compared explicitly,
-    # so both checks still run under python -O
-    delta = SpMatrix(r2.inverse().compose(r1).entries)
-    if not delta.apply_lattice(u).same_lattice(u2):
-        raise DomainError("rank-2 mapping failed")
-    return delta
+    return _map_sublattice(u, u2, 2)
 
 
 def map_rank4_sublattice(u: Sublattice, u2: Sublattice) -> SpMatrix:
     """Same as map_rank2_sublattice for complete rank-4 sublattices, via the
     splitting into a unimodular factor and a d-scaled factor."""
-    _validate_pair(u, u2, 4)
-    r1 = _reduce_rank4_to_canonical(u)
-    r2 = _reduce_rank4_to_canonical(u2)
-    # SpMatrix revalidates the product and the image is compared explicitly,
-    # so both checks still run under python -O
-    delta = SpMatrix(r2.inverse().compose(r1).entries)
-    if not delta.apply_lattice(u).same_lattice(u2):
-        raise DomainError("rank-4 mapping failed")
-    return delta
-
-
-def _reduce_rank4_to_canonical(lattice: Sublattice) -> SpMatrix:
-    g = lattice.genus
-    nf = alternating_normal_form(lattice)
-    if nf.divisors[0] != 1:
-        raise DomainError("restriction not indivisible")
-    x1, y1, x2, y2 = nf.basis.vectors
-    q = Sublattice([x1, y1], genus=g)
-    ra, _ = _reduce_rank2_to_canonical(q)
-    vx2 = ra.apply(x2)
-    vy2 = ra.apply(y2)
-    # explicit checks, so they still run under python -O
-    if any(vx2[:2]) or any(vy2[:2]):
-        raise DomainError("second factor must land in the complement of e0, f0")
-    factor = Sublattice([vx2[2:], vy2[2:]], genus=g - 1)
-    if not is_complete(factor):
-        raise DomainError("sublattice not complete")
-    rq, dq = _reduce_rank2_to_canonical(factor)
-    if dq != nf.divisors[1]:
-        raise DomainError("second factor's divisor must equal the second invariant factor")
-    return _embed_reduced(rq, g).compose(ra)
+    return _map_sublattice(u, u2, 4)

@@ -448,6 +448,15 @@ def test_extend_first_column_and_symplectic():
     assert j_checked > 40
 
 
+def test_extend_refuses_a_matrix_that_moved_the_vector(monkeypatch):
+    # columns (w, -v, ...) are still symplectic, but do not start with v
+    real = symplectic_lattice.SpMatrix
+    monkeypatch.setattr(symplectic_lattice, "SpMatrix",
+                        lambda entries: real([[r[1], -r[0]] + list(r[2:]) for r in entries]))
+    with pytest.raises(DomainError, match="extension does not start with the vector"):
+        extend_to_symplectic_basis([1, 2, 3, 4])
+
+
 def max_bits(rows):
     return max(abs(x).bit_length() for row in rows for x in row)
 
@@ -773,9 +782,9 @@ def wrong_for(lattice, reduce, wrong):
 def test_map_rank2_refuses_a_wrong_target_reduction(monkeypatch):
     u = Sublattice([[1, 0, 0, 0], [0, 2, 1, 0]])
     u2 = Sublattice([[1, 0, -1, 0], [0, 1, 0, -1]])
-    reduce = symplectic_lattice._reduce_rank2_to_canonical
-    monkeypatch.setattr(symplectic_lattice, "_reduce_rank2_to_canonical",
-                        wrong_for(u2, reduce, (sp_identity(2), 2)))
+    reduce = symplectic_lattice._reduce_to_canonical
+    monkeypatch.setattr(symplectic_lattice, "_reduce_to_canonical",
+                        wrong_for(u2, reduce, sp_identity(2)))
     with pytest.raises(DomainError, match="rank-2 mapping failed"):
         map_rank2_sublattice(u, u2)
 
@@ -784,8 +793,8 @@ def test_map_rank4_refuses_a_wrong_target_reduction(monkeypatch):
     rng = random.Random(202)
     u = random_complete_rank4(3, 2, rng)
     u2 = random_complete_rank4(3, 2, rng)
-    reduce = symplectic_lattice._reduce_rank4_to_canonical
-    monkeypatch.setattr(symplectic_lattice, "_reduce_rank4_to_canonical",
+    reduce = symplectic_lattice._reduce_to_canonical
+    monkeypatch.setattr(symplectic_lattice, "_reduce_to_canonical",
                         wrong_for(u2, reduce, sp_identity(3)))
     with pytest.raises(DomainError, match="rank-4 mapping failed"):
         map_rank4_sublattice(u, u2)
@@ -916,5 +925,5 @@ def test_rank4_reduction_refuses_a_wrong_second_divisor(monkeypatch):
 
     u = random_complete_rank4(3, 2, random.Random(202))
     broken_normal_form(monkeypatch, 4, breaks)
-    with pytest.raises(DomainError, match="second factor's divisor must equal the second invariant factor"):
+    with pytest.raises(DomainError, match="pairing with e0 must equal the divisor"):
         map_rank4_sublattice(u, u)
