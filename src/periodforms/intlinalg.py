@@ -312,55 +312,58 @@ def _bareiss(rows):
 
 def rational_kernel(rows, width=None):
     """Basis of the rational null space {x : A x = 0} as Fraction vectors,
-    one per free column; no rows means the zero map on width coordinates.
-
-    The vector x of free column fc is the unique kernel vector that is 1
-    at fc and 0 at the other free columns.  It is read off the echelon
-    rows a_i (pivot columns p_0 < ... < p_(r-1)) from the bottom up.  The
-    last pivot d is, up to sign, the minor of the cleared rows taken as
-    pivot rows on the pivot columns, so y = d x is integral (Cramer), and
-    y[p_i] = -(d a_i[fc] + sum over j > i of a_i[p_j] y[p_j]) / a_i[p_i]
-    divides exactly, its quotient being the integer y[p_i].  The division
-    is checked explicitly, so the check still runs under python -O.
-    """
+    one per free column (see _kernel_vector); no rows means the zero map on
+    width coordinates."""
     if not rows:
         if width is None:
             raise DomainError("kernel of an empty matrix needs an explicit width")
         rows = [[0] * width]
     a, pivots, d = _bareiss(clear_denominators(rows)[0])
-    n, r = len(rows[0]), len(pivots)
-    tri = [[a[i][pc] for pc in pivots] for i in range(r)]
-    basis = []
-    for fc in range(n):
-        if fc in pivots:
-            continue
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        y = [0] * r
-        for i in range(r - 1, -1, -1):
-            q, rem = divmod(-d * a[i][fc] - sum(map(mul, tri[i], y)), tri[i][i])
-            if rem:
-                raise DomainError("rational kernel: inexact back substitution")
-            y[i] = q
-            v[pivots[i]] = Fraction(q, d)
-        basis.append(v)
-    return basis
+    tri = [[a[i][pc] for pc in pivots] for i in range(len(pivots))]
+    return [_kernel_vector(a, tri, pivots, d, fc) for fc in range(len(rows[0])) if fc not in pivots]
+
+
+def _kernel_vector(a, tri, pivots, d, fc):
+    """The unique kernel vector x that is 1 at the free column fc and 0 at
+    the other free columns, from the echelon rows a, pivot columns pivots
+    and last pivot d of _bareiss, with tri[i] the entries of a[i] at the
+    pivot columns.
+
+    x is read off the rows a_i (pivot columns p_0 < ... < p_(r-1)) from the
+    bottom up.  d is, up to sign, the minor of the cleared rows taken as
+    pivot rows on the pivot columns, so y = d x is integral (Cramer), and
+    y[p_i] = -(d a_i[fc] + sum over j > i of a_i[p_j] y[p_j]) / a_i[p_i]
+    divides exactly, its quotient being the integer y[p_i].  The division
+    is checked explicitly, so the check still runs under python -O.
+    """
+    x = [Fraction(0)] * len(a[0])
+    x[fc] = Fraction(1)
+    y = [0] * len(pivots)
+    for i in range(len(pivots) - 1, -1, -1):
+        q, rem = divmod(-d * a[i][fc] - sum(map(mul, tri[i], y)), tri[i][i])
+        if rem:
+            raise DomainError("rational kernel: inexact back substitution")
+        y[i] = q
+        x[pivots[i]] = Fraction(q, d)
+    return x
 
 
 def rational_solve(rows, rhs):
     """Solve A x = rhs exactly; raises DomainError if inconsistent.
 
-    The last kernel vector of [A | -rhs] is 1 in the last column and 0 at
-    the free variables of A: the solution with those set to zero.  When the
-    last column is a pivot, every kernel vector is 0 there: no solution.
+    The kernel vector of [A | -rhs] for its last column n is 1 there and 0
+    at the free variables of A: the solution with those set to zero.  When
+    column n is a pivot, every kernel vector is 0 there: no solution.
     """
     if len(rhs) != len(rows):
         raise DomainError("right-hand side length does not match the rows")
     n = len(rows[0]) if rows else 0
-    kernel = rational_kernel([list(r) + [-b] for r, b in zip(rows, rhs)], width=n + 1)
-    if not kernel or kernel[-1][n] != 1:
+    aug = [list(r) + [-b] for r, b in zip(rows, rhs)] or [[0]]
+    a, pivots, d = _bareiss(clear_denominators(aug)[0])
+    if n in pivots:
         raise DomainError("inconsistent linear system")
-    return kernel[-1][:n]
+    tri = [[a[i][pc] for pc in pivots] for i in range(len(pivots))]
+    return _kernel_vector(a, tri, pivots, d, n)[:n]
 
 
 # ---------------------------------------------------------------------------
