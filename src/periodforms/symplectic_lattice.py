@@ -420,10 +420,10 @@ def _reduce_pair(x, y, d: int, genus: int) -> SpMatrix:
     Follows the quotient construction: x is moved to e0, and the residue of
     y in the quotient e0-perp / e0, m times a primitive vector, is moved to
     m*e1 by Sp(2g-2, Z).  Unless m = 1 (mod d), the extension of (t, d)
-    with m*t = 1 (mod d) then turns it into m*t*e1 + m*d*f1, and m*t
-    takes the place of m.  A shear fixing e0 and sending f0 to f0 + w ends
-    it: w = -k*e1 with k = (m - 1) // d (k = m at d = 1), minus m*f1 in the
-    general case, leaves d*f0 + e1 (f0 at d = 1).
+    with m*t = 1 (mod d) then turns it into m'*e1 + m*d*f1, m' = m*t;
+    otherwise m' = m.  A shear fixing e0 and sending f0 to f0 + w ends it:
+    w = -k*e1 with k = (m' - 1) // d (k = m at d = 1), minus m*f1 after
+    the extension, leaves d*f0 + e1 (f0 at d = 1).
     """
     # explicit checks, so they still run under python -O
     if not is_indivisible(x):
@@ -467,10 +467,11 @@ def _reduce_to_canonical(lattice: Sublattice) -> SpMatrix:
     """R in Sp(2g, Z) mapping the complete rank-2 or rank-4 input onto the
     canonical lattice of its divisors.
 
-    One normal form gives the adapted pairs.  _reduce_pair takes the first
-    onto span(e0, f0) (first divisor 1 when a second pair follows); the
-    second pair then lies in the complement of e0, f0, where _reduce_pair
-    reduces it in Sp(2g-2, Z), embedded fixing e0 and f0.
+    One normal form gives the adapted pairs, and _reduce_pair takes the
+    first onto the canonical lattice of its divisor.  A second pair needs
+    that divisor to be 1, so the first lands on span(e0, f0) and the
+    second in its complement, where _reduce_pair reduces it in
+    Sp(2g-2, Z), embedded fixing e0 and f0.
     """
     g = lattice.genus
     nf = alternating_normal_form(lattice)
