@@ -2,13 +2,12 @@
 
 Lattices are handled as lists of generator vectors (rows).  All integer
 routines use arbitrary-precision ints: Hermite forms come from one core,
-lll_reduce is the integral LLL, the saturation is one exact triangular
-solve between two Hermite forms, the rank over Z or Q, the integer
-determinant and the rational kernel and solve come from one forward
-fraction-free (Bareiss) elimination, which rescales a row only when it is
-next used; the kernel is read off its echelon rows by exact back
-substitution, and Fractions appear only in the kernel and solve results.
-No floating point anywhere.
+the saturation is one exact triangular solve between two Hermite forms,
+and the rank over Z or Q, the integer determinant and the rational kernel
+and solve come from one forward fraction-free (Bareiss) elimination, which
+rescales a row only when it is next used; the kernel is read off its
+echelon rows by exact back substitution, and Fractions appear only in the
+kernel and solve results.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -39,10 +38,6 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
-
-
-def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
 
 
 def vec_gcd(v):
@@ -117,88 +112,6 @@ def _hermite(a, n):
                 a[i] = [x - q * y for x, y in zip(a[i], a[r])]
         r += 1
     return a
-
-
-def lll_reduce(rows):
-    """LLL-reduced basis (delta = 3/4) of the lattice spanned by independent
-    integer rows.
-
-    Integral variant of Cohen, A Course in Computational Algebraic Number
-    Theory, Alg. 2.6.7: d[i] is the Gram determinant of the first i rows and
-    lam[k][j] = d[j+1] * mu[k][j] is an integer, so only ints and exact //
-    are used.  A row is changed only when it fails size reduction or the
-    Lovasz condition, so a reduced basis comes back unchanged.
-    """
-    b = [list(r) for r in rows]
-    n = len(b)
-    d = [1] * (n + 1)  # d[i + 1] = Gram determinant of rows 0..i
-    lam = [[0] * n for _ in range(n)]
-
-    def gram_schmidt(k):
-        for j in range(k + 1):
-            u = dot(b[k], b[j])
-            for i in range(j):
-                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
-            if j < k:
-                lam[k][j] = u
-            elif u == 0:
-                raise DomainError("lattice reduction needs independent rows")
-            else:
-                d[k + 1] = u
-
-    def reduce(k, l):
-        if 2 * abs(lam[k][l]) > d[l + 1]:
-            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
-            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
-            lam[k][l] -= q * d[l + 1]
-            for i in range(l):
-                lam[k][i] -= q * lam[l][i]
-
-    def swap(k, kmax):
-        b[k], b[k - 1] = b[k - 1], b[k]
-        for j in range(k - 1):
-            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
-        t = lam[k][k - 1]
-        big = (d[k - 1] * d[k + 1] + t * t) // d[k]
-        for i in range(k + 1, kmax + 1):
-            s = lam[i][k]
-            lam[i][k] = (d[k + 1] * lam[i][k - 1] - t * s) // d[k]
-            lam[i][k - 1] = (big * s + t * lam[i][k]) // d[k + 1]
-        d[k] = big
-
-    if n:
-        gram_schmidt(0)
-    k, kmax = 1, 0
-    while k < n:
-        if k > kmax:
-            kmax = k
-            gram_schmidt(k)
-        reduce(k, k - 1)
-        t = lam[k][k - 1]
-        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * t * t:
-            swap(k, kmax)
-            k = max(1, k - 1)
-        else:
-            for l in range(k - 2, -1, -1):
-                reduce(k, l)
-            k += 1
-    return b
-
-
-def integer_kernel(rows, width=None):
-    """Basis of the saturated lattice {x in Z^n : A x = 0}, A given by rows.
-
-    Returned as canonical Hermite-form rows.  An empty row list means the
-    zero map, whose kernel is all of Z^width.
-    """
-    if not rows:
-        if width is None:
-            raise DomainError("kernel of an empty matrix needs an explicit width")
-        return identity(width)
-    m, n = len(rows), len(rows[0])
-    # A^T with the identity riding along; the rows whose A^T part ends 0 span the kernel
-    a = [col + e for col, e in zip(transpose(rows), identity(n))]
-    return row_hnf([r[m:] for r in _hermite(a, m) if is_zero_vec(r[:m])])
 
 
 def saturate_rows(rows, width=None):
@@ -364,40 +277,3 @@ def rational_solve(rows, rhs):
         raise DomainError("inconsistent linear system")
     tri = [[a[i][pc] for pc in pivots] for i in range(len(pivots))]
     return _kernel_vector(a, tri, pivots, d, n)[:n]
-
-
-# ---------------------------------------------------------------------------
-# Bezout combinations
-
-
-def bezout_vector(coeffs):
-    """Returns (g, x) with sum(x_i * c_i) = g = gcd(coeffs) >= 0."""
-    g = 0
-    x = [0] * len(coeffs)
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        if g == 0:
-            g = abs(c)
-            x = [0] * len(coeffs)
-            x[i] = 1 if c > 0 else -1
-            continue
-        gg, s, t = _xgcd(g, c)
-        x = [s * xi for xi in x]
-        x[i] += t
-        g = gg
-    return g, x
-
-
-def _xgcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t

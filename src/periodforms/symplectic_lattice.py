@@ -15,12 +15,9 @@ from operator import mul
 from .errors import DomainError
 from .intlinalg import (
     _hermite,
-    bezout_vector,
     identity,
     integer_det,
-    integer_kernel,
     is_zero_vec,
-    lll_reduce,
     mat_eq,
     mat_mul,
     mat_vec,
@@ -242,7 +239,8 @@ class SpMatrix:
     """An element of Sp(2g, Z) for the standard form, acting on columns.
 
     The public constructor checks E^T J E = J on every matrix built from raw
-    entries: user input, extend_to_symplectic_basis, _shear, and the matrix
+    entries: user input, the elementary moves of _moves_to_e0 (in
+    extend_to_symplectic_basis and _to_e0), _shear, and the matrix
     map_rank2_sublattice / map_rank4_sublattice return.  Entry (i, k) of
     E^T J E is omega(E_i, E_k) for the columns E_i, so for every integer E
     the product is alternating, like J: its diagonal is zero and its lower
@@ -309,11 +307,9 @@ def sp_identity(genus: int) -> SpMatrix:
 def extend_to_symplectic_basis(v, genus=None) -> SpMatrix:
     """Symplectic matrix whose first column is the primitive vector v.
 
-    Constructive transitivity of Sp(2g, Z) on primitive vectors: a dual
-    partner w with omega(v, w) = 1 comes from a Bezout combination, and the
-    orthogonal complement of the hyperbolic pair, which carries a unimodular
-    restriction, is split into standard pairs by _symplectic_complement.
-    Its LLL steps keep the entries near the size of v.
+    Constructive transitivity of Sp(2g, Z) on primitive vectors: the
+    elementary moves of _moves_to_e0 give A with A v = e0, and the answer
+    is A^-1 = J (J A)^T, built through the checked constructor.
     """
     v = [int(x) for x in v]
     n = len(v)
@@ -321,20 +317,77 @@ def extend_to_symplectic_basis(v, genus=None) -> SpMatrix:
         raise DomainError("vector length does not match genus")
     if n % 2 != 0 or n < 2:
         raise DomainError("vector length must be even and positive")
-    g = n // 2
     if not is_indivisible(v):
         raise DomainError("vector not primitive")
-    cov = _covector(v)
-    g0, w = bezout_vector(cov)
-    if g0 != 1:
-        raise DomainError("primitive vector has imprimitive pairing functional")
-    comp = integer_kernel([cov, _covector(w)], n)
-    entries = transpose([v, w] + _symplectic_complement(comp))
-    a = SpMatrix(entries)
+    a = SpMatrix(_j_times(transpose(_j_times(_moves_to_e0(v)))))
     # an explicit check, so it still runs under python -O
     if [row[0] for row in a.entries] != v:
         raise DomainError("extension does not start with the vector")
     return a
+
+
+def _moves_to_e0(v):
+    """A in Sp(2g, Z) with A v = e0 for a primitive v, by elementary
+    symplectic moves (Newman, Integral Matrices, 1972, ch. VII).
+
+    Each move is a row operation applied both to A and to a working copy
+    u of v; coordinates pair as (a_p, b_p) = (u[2p], u[2p + 1]).  Euclid by
+    SL2 shears leaves one nonzero entry in each pair, and a quarter turn
+    (a, b) -> (b, -a) puts pair 0's at a_0.  The nonzero entry c of each
+    later pair j is then folded into a_0 by Euclid with the cross moves
+    a_j += k a_0, b_0 -= k b_j;  b_j += k a_0, b_0 += k a_j;
+    a_0 += k a_j, b_j -= k b_0;  a_0 += k b_j, a_j += k b_0,
+    each symplectic and each leaving b_0 = 0 in u.  An empty pair 0 is
+    swapped with pair j instead.  u ends as (+-1) e0, and negating pair 0
+    fixes the sign.
+    """
+    u = list(v)
+    n = len(u)
+    a = identity(n)
+
+    def add(i, k, j):
+        u[i] += k * u[j]
+        a[i] = [x + k * y for x, y in zip(a[i], a[j])]
+
+    def settle_pair0():
+        if u[1]:
+            u[0], u[1] = u[1], -u[0]
+            a[0], a[1] = a[1], [-x for x in a[0]]
+
+    for p in range(0, n, 2):
+        while u[p] and u[p + 1]:
+            if abs(u[p + 1]) >= abs(u[p]):
+                add(p + 1, -(u[p + 1] // u[p]), p)
+            else:
+                add(p, -(u[p] // u[p + 1]), p + 1)
+    settle_pair0()
+    for j in range(2, n, 2):
+        i = j if u[j] else j + 1
+        while u[i]:
+            if not u[0]:
+                u[:2], u[j : j + 2] = u[j : j + 2], u[:2]
+                a[:2], a[j : j + 2] = a[j : j + 2], a[:2]
+                settle_pair0()
+            elif abs(u[i]) >= abs(u[0]):
+                k = -(u[i] // u[0])
+                add(i, k, 0)
+                add(1, -k if i == j else k, 2 * j + 1 - i)
+            else:
+                k = -(u[0] // u[i])
+                add(0, k, i)
+                add(2 * j + 1 - i, -k if i == j else k, 1)
+    if u[0] == -1:
+        a[0], a[1] = [-x for x in a[0]], [-x for x in a[1]]
+    return a
+
+
+def _to_e0(v) -> SpMatrix:
+    """The checked SpMatrix of _moves_to_e0(v), which must send v to e0."""
+    r = SpMatrix(_moves_to_e0(v))
+    # an explicit check, so it still runs under python -O
+    if r.apply(v) != [1] + [0] * (len(v) - 1):
+        raise DomainError("the moves do not send the vector to e0")
+    return r
 
 
 def _covector(v):
@@ -342,29 +395,6 @@ def _covector(v):
     out = []
     for k in range(0, len(v), 2):
         out += [-v[k + 1], v[k]]
-    return out
-
-
-def _symplectic_complement(rows):
-    """Rows a1, b1, a2, b2, ... with standard Gram matrix spanning the same
-    lattice as the given rows, whose Gram matrix must be unimodular.
-
-    Symplectic Gram-Schmidt by _split_pair, which on unimodular input takes
-    the first row and its Hermite partner; an LLL reduction of what is left
-    keeps the sizes in check before the next pair.  Rows that already form
-    standard pairs in LLL-reduced order come back unchanged.
-    """
-    out = []
-    rest = [list(r) for r in rows]
-    while rest:
-        try:
-            d, a, b, rest = _split_pair(rest)
-        except DomainError:
-            raise DomainError("complement is not unimodular") from None
-        if d != 1:
-            raise DomainError("complement is not unimodular")
-        rest = lll_reduce(rest)
-        out += [a, b]
     return out
 
 
@@ -417,9 +447,9 @@ def _reduce_pair(x, y, d: int, genus: int) -> SpMatrix:
     """R in Sp(2g, Z) mapping span(x, y) onto the canonical lattice of d,
     for an adapted pair of a complete lattice: omega(x, y) = d > 0.
 
-    Follows the quotient construction: x is moved to e0, and the residue of
-    y in the quotient e0-perp / e0, m times a primitive vector, is moved to
-    m*e1 by Sp(2g-2, Z).  Unless m = 1 (mod d), the extension of (t, d)
+    Follows the quotient construction: the moves of _moves_to_e0 take x to
+    e0, and the residue of y in the quotient e0-perp / e0, m times a
+    primitive vector, to m*e1 in Sp(2g-2, Z).  Unless m = 1 (mod d), the extension of (t, d)
     with m*t = 1 (mod d) then turns it into m'*e1 + m*d*f1, m' = m*t;
     otherwise m' = m.  A shear fixing e0 and sending f0 to f0 + w ends it:
     w = -k*e1 with k = (m' - 1) // d (k = m at d = 1), minus m*f1 after
@@ -428,7 +458,7 @@ def _reduce_pair(x, y, d: int, genus: int) -> SpMatrix:
     # explicit checks, so they still run under python -O
     if not is_indivisible(x):
         raise DomainError("adapted basis of a complete lattice is primitive")
-    r = extend_to_symplectic_basis(x, genus).inverse()
+    r = _to_e0(x)
     y1 = r.apply(y)
     if y1[1] != d:
         raise DomainError("pairing with e0 must equal the divisor")
@@ -442,8 +472,7 @@ def _reduce_pair(x, y, d: int, genus: int) -> SpMatrix:
     m = vec_gcd(z)
     if gcd(m, d) != 1:
         raise DomainError("sublattice not complete")
-    b1 = extend_to_symplectic_basis([t // m for t in z], genus - 1)
-    r = _embed_reduced(b1.inverse(), genus).compose(r)
+    r = _embed_reduced(_to_e0([t // m for t in z]), genus).compose(r)
     # the moved lattice is span{e0, d*f0 + m*e1 (mod e0)}
     red = [0] * (2 * genus - 2)
     if m % d > 1:
@@ -478,7 +507,8 @@ def _reduce_to_canonical(lattice: Sublattice) -> SpMatrix:
     x, y, *second = nf.basis.vectors
     # explicit checks, so they still run under python -O
     if second and nf.divisors[0] != 1:
-        raise DomainError("restriction not indivisible")
+        raise DomainError("restriction not indivisible: divisors %d, %d; rank-4 maps support "
+                          "only the orbit with first divisor 1" % tuple(nf.divisors))
     r = _reduce_pair(x, y, nf.divisors[0], g)
     if not second:
         return r

@@ -260,6 +260,31 @@ def test_lattice_map4_on_a_recorded_cliff_input(capsys):
     assert len(entries) == 12 and all(len(row) == 12 for row in entries)
 
 
+def test_lattice_map4_names_the_divisors_it_refuses(capsys):
+    # span(e0, 2f0 + e2, e1, 2f1 + e3) is complete with divisors 2, 2;
+    # rank-4 maps cover the orbit whose first divisor is 1
+    lattice = {"genus": 4, "vectors": [[1, 0, 0, 0, 0, 0, 0, 0], [0, 2, 0, 0, 1, 0, 0, 0],
+                                       [0, 0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 2, 0, 0, 1, 0]]}
+    code, out, err = run(capsys, "lattice", "map4", "--input", payload(source=lattice, target=lattice))
+    assert code == 1 and out == ""
+    assert "restriction not indivisible: divisors 2, 2" in err
+    assert "orbit with first divisor 1" in err
+
+
+def test_lattice_extend_at_genus_60_with_64_bit_entries_finishes():
+    # the elementary moves take a fraction of a second here; the extension
+    # through a Hermite kernel and LLL took over 10 s
+    path = Path(__file__).with_name("extend_genus60.json")
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from periodforms.cli import main; sys.exit(main(sys.argv[1:]))",
+         "lattice", "extend", "--input", str(path)],
+        capture_output=True, text=True, env=src_env(), timeout=10,
+    )
+    assert done.returncode == 0, done.stderr
+    entries = json.loads(done.stdout)["entries"]
+    assert [row[0] for row in entries] == json.loads(path.read_text())["vector"]
+
+
 def test_curve_classify_reports_rank_and_kernel(capsys):
     doc = payload(curve=GENUS2_CURVE, differentials=[[0, 1], [1, 0]])
     code, out, _ = run(capsys, "curve", "classify", "--input", doc)

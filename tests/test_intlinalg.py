@@ -9,14 +9,10 @@ from hypothesis import strategies as st
 from periodforms import intlinalg
 from periodforms.errors import DomainError
 from periodforms.intlinalg import (
-    bezout_vector,
     clear_denominators,
-    dot,
     identity,
     integer_det,
-    integer_kernel,
     integer_rank,
-    lll_reduce,
     mat_eq,
     mat_mul,
     rational_kernel,
@@ -120,6 +116,19 @@ def hermite_transform(rows):
     n = len(rows[0]) if m else 0
     a = intlinalg._hermite([list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(rows)], n)
     return [r[:n] for r in a], [r[n:] for r in a]
+
+
+def integer_kernel(rows, width=None):
+    """Basis of the saturated lattice {x in Z^n : A x = 0}, A given by rows,
+    as canonical Hermite-form rows: the rows of the Hermite transform of
+    A^T whose image vanishes.  No rows means the zero map on width
+    coordinates."""
+    if not rows:
+        if width is None:
+            raise DomainError("kernel of an empty matrix needs an explicit width")
+        return identity(width)
+    h, u = hermite_transform(transpose(rows))
+    return row_hnf([x for r, x in zip(h, u) if not any(r)])
 
 
 def test_hnf_transform_reconstructs():
@@ -659,67 +668,6 @@ def test_row_hnf_transform_of_nothing():
     assert row_hnf([]) == []
     assert hermite_transform([]) == ([], [])
     assert hermite_transform([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], [[1, 0], [0, 1]])
-
-
-def fraction_gram_schmidt(rows):
-    """(b*, mu) of the rows over Fraction, independent of the library."""
-    stars, mu = [], []
-    for v in rows:
-        coeffs = [Fraction(dot(v, s), dot(s, s)) for s in stars]
-        star = [Fraction(x) for x in v]
-        for c, s in zip(coeffs, stars):
-            star = [x - c * y for x, y in zip(star, s)]
-        stars.append(star)
-        mu.append(coeffs)
-    return stars, mu
-
-
-@st.composite
-def independent_rows(draw):
-    n = draw(st.integers(1, 7))
-    entry = st.one_of(st.integers(-9, 9), st.integers(-(2**80), 2**80))
-    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=n))
-    assume(integer_rank(rows) == len(rows))
-    return rows
-
-
-@settings(max_examples=200, deadline=None)
-@given(independent_rows())
-def test_lll_reduce_is_a_reduced_basis_of_the_same_lattice(rows):
-    out = lll_reduce(rows)
-    assert row_hnf(out) == row_hnf(rows)
-    stars, mu = fraction_gram_schmidt(out)
-    assert all(abs(c) <= Fraction(1, 2) for coeffs in mu for c in coeffs)
-    for k in range(1, len(out)):
-        lovasz = (Fraction(3, 4) - mu[k][k - 1] ** 2) * dot(stars[k - 1], stars[k - 1])
-        assert dot(stars[k], stars[k]) >= lovasz
-    assert lll_reduce(out) == out
-
-
-def test_lll_reduce_leaves_reduced_input_unchanged():
-    assert lll_reduce([]) == []
-    assert lll_reduce(identity(5)) == identity(5)
-    units = [[0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, -1]]
-    assert lll_reduce(units) == units
-    assert lll_reduce([[1, 0], [0, 1000]]) == [[1, 0], [0, 1000]]
-    assert lll_reduce([[1, -2], [3, 1]]) == [[1, -2], [3, 1]]
-
-
-def test_lll_reduce_shortens_and_rejects_dependent_rows():
-    assert lll_reduce([[1, 0], [1000, 1]]) == [[1, 0], [0, 1]]
-    assert lll_reduce([[201, 37], [1648, 297]]) == [[1, 32], [40, 1]]
-    with pytest.raises(DomainError, match="independent"):
-        lll_reduce([[1, 2], [2, 4]])
-
-
-def test_bezout_vector():
-    g, x = bezout_vector([6, 10, 15])
-    assert g == 1
-    assert 6 * x[0] + 10 * x[1] + 15 * x[2] == 1
-    g, x = bezout_vector([4, 6])
-    assert g == 2 and 4 * x[0] + 6 * x[1] == 2
-    g, x = bezout_vector([0, 0])
-    assert g == 0
 
 
 def test_transpose_roundtrip():

@@ -4,6 +4,7 @@ import time
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,7 +15,6 @@ from periodforms.cli import main
 from periodforms.errors import DomainError
 from periodforms.intlinalg import (
     identity,
-    integer_kernel,
     integer_rank,
     mat_eq,
     mat_mul,
@@ -26,7 +26,7 @@ from periodforms.symplectic_lattice import (
     SpMatrix,
     Sublattice,
     _embed_reduced,
-    _symplectic_complement,
+    _moves_to_e0,
     alternating_normal_form,
     determinant,
     extend_to_symplectic_basis,
@@ -39,6 +39,7 @@ from periodforms.symplectic_lattice import (
     sp_identity,
     standard_gram,
 )
+from test_intlinalg import integer_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +463,6 @@ def max_bits(rows):
 
 
 def test_extend_keeps_large_entries_in_bounds():
-    # size control between the standard pairs only: reducing inside the
-    # pair construction makes Euclid's steps grow rows to thousands of bits
     rng = random.Random(256)
     v = [rng.randrange(-(2**255), 2**255) for _ in range(16)]
     v[0] |= 1 << 255
@@ -476,28 +475,83 @@ def test_extend_keeps_large_entries_in_bounds():
     assert max_bits(a.entries) <= 2 * max_bits([v]) + 64
 
 
-def test_symplectic_complement_splits_into_standard_pairs():
-    rng = random.Random(12)
-    for _ in range(20):
-        g = rng.randint(1, 4)
-        u = random_sp(g, rng)
-        rows = transpose(u.entries)
-        pairs = _symplectic_complement(rows)
-        assert mat_eq(row_hnf(pairs), row_hnf(rows))
-        assert [[omega(x, y) for y in pairs] for x in pairs] == standard_gram(g)
-    # standard pairs come back unchanged
-    assert _symplectic_complement(identity(6)) == identity(6)
+def column_pairings(m):
+    """omega of every two columns of m, from the definition: the Gram
+    matrix M^T J M, independent of SpMatrix and of standard_gram."""
+    cols = list(zip(*m))
+    return [[sum(c[k] * d[k + 1] - c[k + 1] * d[k] for k in range(0, len(c), 2)) for d in cols]
+            for c in cols]
 
 
-def test_symplectic_complement_rejects_non_unimodular():
-    for rows in (
-        [[2, 0, 0, 0], [0, 1, 0, 0]],  # pairing 2
-        [[1, 0, 0, 0]],  # no partner
-        [[1, 0, 0, 0], [0, 0, 1, 0]],  # pairing 0
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1]],  # second pair
-    ):
-        with pytest.raises(DomainError, match="complement is not unimodular"):
-            _symplectic_complement(rows)
+def j_oracle(n):
+    return [[(i % 2 == 0 and k == i + 1) - (i % 2 == 1 and k == i - 1) for k in range(n)]
+            for i in range(n)]
+
+
+def check_moves(v):
+    """A = _moves_to_e0(v) sends v to e0 and is symplectic, and the
+    extension is its inverse, whose first column is v."""
+    n = len(v)
+    a = _moves_to_e0(v)
+    assert [sum(map(mul, row, v)) for row in a] == [1] + [0] * (n - 1)
+    assert column_pairings(a) == j_oracle(n)
+    e = extend_to_symplectic_basis(v).entries
+    assert [row[0] for row in e] == v
+    assert mat_mul(a, e) == identity(n)
+    return a, e
+
+
+def primitive(v):
+    d = 0
+    for x in v:
+        d = gcd(d, x)
+    return [x // d for x in v]
+
+
+def test_moves_send_the_vector_to_e0_symplectically():
+    # genus 1-10, entries up to 2^64; a third of the vectors have zero
+    # entries, so some pairs start empty or with one entry
+    rng = random.Random(64)
+    zeros = 0
+    for k in range(150):
+        g = rng.randint(1, 10)
+        bits = rng.randint(1, 64)
+        v = [0] * (2 * g)
+        while not any(v):
+            v = [rng.randint(-(2**bits), 2**bits) if k % 3 or rng.random() < 0.7 else 0
+                 for _ in range(2 * g)]
+        zeros += 0 in v
+        check_moves(primitive(v))
+    assert zeros > 30
+
+
+def test_moves_stay_within_16_bits_of_a_generic_input():
+    # when every entry is nonzero each pair's Euclid leaves a small gcd, so
+    # the cross moves take small quotients; a pair left with one large entry
+    # against a small a0 multiplies a row by a large quotient instead
+    # (ROADMAP item 10)
+    rng = random.Random(65)
+    for _ in range(150):
+        g = rng.randint(1, 10)
+        bits = rng.randint(1, 64)
+        v = [0]
+        while 0 in v:
+            v = primitive([rng.randint(-(2**bits), 2**bits) for _ in range(2 * g)])
+        _, e = check_moves(v)
+        assert max_bits(e) <= max_bits([v]) + 16
+
+
+def test_moves_edge_cases():
+    # (0, 1) at genus 1: one quarter turn
+    assert extend_to_symplectic_basis([0, 1]).entries == [[0, -1], [1, 0]]
+    # a zero pair 0 is swapped with the first pair that can fill it
+    assert _moves_to_e0([0, 0, 0, 1]) == [[0, 0, 0, 1], [0, 0, -1, 0], [1, 0, 0, 0], [0, 1, 0, 0]]
+    for v in ([0, 0, 3, 5], [0, 0, 0, 0, 2, -3], [0, 0, 4, 0, 0, 6, 9, 0]):
+        check_moves(v)
+    # a negative leading entry: the sign fix negates pair 0
+    assert _moves_to_e0([-1, 0, 0, 0]) == [[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    for v in ([-1, 0], [-5, 3, -2, 0], [-7, 0, 0, -3]):
+        check_moves(v)
 
 
 def test_sp_inverse_and_compose():
