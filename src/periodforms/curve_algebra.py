@@ -467,10 +467,11 @@ def _affine_zero_values(alpha, numeric, simple_error):
         raise DomainError("alpha vanishes on the branch locus")
     if numeric:
         return _numeric_roots(p)
-    roots = p.rational_roots()
-    if sum(m for _, m in roots) != p.degree:
+    # p is squarefree, so its roots are simple
+    roots = p._simple_rational_roots()
+    if len(roots) != p.degree:
         raise DomainError("irrational zero of alpha in exact mode")
-    return [root for root, _ in roots]
+    return roots
 
 
 def section_values(gamma: Differential, beta: Differential, alpha: Differential,

@@ -184,21 +184,34 @@ class Polynomial:
 
         The total multiplicity may be less than the degree when some
         roots are irrational; the caller decides whether that matters.
+        sq = self / gcd(self, self') has the same roots, all simple, and
+        _simple_rational_roots finds them.
+        """
+        if self.is_zero():
+            raise DomainError("the zero polynomial has no root list")
+        found, p = [], self
+        for root in (self // self.gcd(self.derivative()))._simple_rational_roots():
+            mult = 0
+            factor = Polynomial((-root, 1))
+            while p(root) == 0:
+                p = p // factor
+                mult += 1
+            found.append((root, mult))
+        return found
 
-        By Hensel lifting (Loos, SIAM J. Comput. 12, 1983).  sq = self /
-        gcd(self, self') has the same roots, all simple; let c be its
+    def _simple_rational_roots(self):
+        """The rational roots of this nonzero squarefree polynomial, sorted.
+
+        By Hensel lifting (Loos, SIAM J. Comput. 12, 1983).  Let c be the
         numerator vector and a = |c_n|.  A root u/v in lowest terms has
         v | a, so y = a u / v is an integer with |y| <= B = a + max |c_i|.
         Take the first prime q not dividing a at which every root of c
-        mod q is simple; only primes dividing a * disc(sq) fail.  Each
+        mod q is simple; only primes dividing a * disc fail.  Each
         rational root reduces to such a root, whose Newton lift mod q^(2^i)
         is unique, so once the modulus M exceeds 2B, y is the symmetric
         residue of a * r mod M.  Candidates are checked exactly.
         """
-        if self.is_zero():
-            raise DomainError("the zero polynomial has no root list")
-        sq = self // self.gcd(self.derivative())
-        c = sq.num
+        c = self.num
         a = abs(c[-1])
         bound = a + max(abs(x) for x in c)
         dc = [k * x for k, x in enumerate(c)][1:]
@@ -207,7 +220,7 @@ class Polynomial:
                 residues = [r for r in range(q) if _eval_mod(c, r, q) == 0]
                 if all(_eval_mod(dc, r, q) for r in residues):
                     break
-        found, p = {}, self
+        roots = []
         for r in residues:
             m = q
             while m <= 2 * bound:
@@ -215,15 +228,9 @@ class Polynomial:
                 r = (r - _eval_mod(c, r, m) * pow(_eval_mod(dc, r, m), -1, m)) % m
             y = a * r % m
             root = Fraction(y - m if 2 * y > m else y, a)
-            if sq(root) != 0:
-                continue
-            mult = 0
-            factor = Polynomial((-root, 1))
-            while p(root) == 0:
-                p = p // factor
-                mult += 1
-            found[root] = mult
-        return sorted(found.items())
+            if self(root) == 0:
+                roots.append(root)
+        return sorted(roots)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
