@@ -363,6 +363,8 @@ def _moves_to_e0(v):
     settle_pair0()
     for j in range(2, n, 2):
         i = j if u[j] else j + 1
+        # the other entry of pair j, and the sign of its correction
+        partner, sign = (j + 1, -1) if i == j else (j, 1)
         while u[i]:
             if not u[0]:
                 u[:2], u[j : j + 2] = u[j : j + 2], u[:2]
@@ -371,11 +373,11 @@ def _moves_to_e0(v):
             elif abs(u[i]) >= abs(u[0]):
                 k = -(u[i] // u[0])
                 add(i, k, 0)
-                add(1, -k if i == j else k, 2 * j + 1 - i)
+                add(1, sign * k, partner)
             else:
                 k = -(u[0] // u[i])
                 add(0, k, i)
-                add(2 * j + 1 - i, -k if i == j else k, 1)
+                add(partner, sign * k, 1)
     if u[0] == -1:
         a[0], a[1] = [-x for x in a[0]], [-x for x in a[1]]
     return a

@@ -272,8 +272,8 @@ def test_lattice_map4_names_the_divisors_it_refuses(capsys):
 
 
 def test_lattice_extend_at_genus_60_with_64_bit_entries_finishes():
-    # the elementary moves take a fraction of a second here; the extension
-    # through a Hermite kernel and LLL took over 10 s
+    # 120 coordinates of 64 bits; the CI entry-point step runs the same
+    # input under timeout 10
     path = Path(__file__).with_name("extend_genus60.json")
     done = subprocess.run(
         [sys.executable, "-c", "import sys; from periodforms.cli import main; sys.exit(main(sys.argv[1:]))",
