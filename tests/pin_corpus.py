@@ -3,13 +3,15 @@ or rational_solve, of every multiplication-map dimension and verdict, of
 the saturations, lattice invariants and line verdicts behind the periods
 path, of the polynomial gcd, squarefree test and rational roots, of the
 quartic smoothness and cross-ratio verdicts, of the exact residues and
-section values, of the cover invariants and origami genera and of the
-Sp(2g, Z) maps between complete rank-2 and rank-4 sublattices, pinned by
-digest.
+section values, of the cover invariants and origami genera, of the
+Sp(2g, Z) maps between complete rank-2 and rank-4 sublattices and of the
+floats of the curve queries (cross-ratios, numeric residues and section
+values, form values at float and complex points), pinned by digest.
 
 Each family is a fixed, seeded list of calls.  A call is rendered as one
-line, "<call> -> <output>", with Fractions written p/q and errors written
-as their type and message.  pin_corpus.json stores, per family, the
+line, "<call> -> <output>", with Fractions written p/q, floats by
+float.hex in the curve_floats family, and errors written as their type and
+message.  pin_corpus.json stores, per family, the
 sha256 of all its lines and a 12-hex digest of each line, so a changed
 output is located at its first differing call.
 
@@ -105,9 +107,9 @@ def render(value):
     return str(value)
 
 
-def outcome(fn, *args):
+def outcome(fn, *args, show=render):
     try:
-        return render(fn(*args))
+        return show(fn(*args))
     except DomainError as exc:
         return "DomainError: %s" % exc
 
@@ -635,6 +637,93 @@ def zero_locus_calls(rng):
                 residues_of_quotient, QuadDifferential(curve, [1]), low)
 
 
+def _hex(value):
+    """render, except that floats and both parts of complex numbers are
+    written by float.hex, so that every bit of them is pinned."""
+    if isinstance(value, complex):
+        return "(%s, %s)" % (value.real.hex(), value.imag.hex())
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_hex(x) for x in value) + "]"
+    return render(value)
+
+
+def _random_line(rng):
+    while True:
+        line = tuple(rng.randint(-3, 3) for _ in range(3))
+        if any(line):
+            return line
+
+
+def _float_coordinate(rng, kind):
+    if kind == "int":
+        return rng.randint(-3, 3)
+    if kind == "Fraction":
+        return rng_fraction(rng, 9, 7)
+    real = rng.choice([rng.uniform(-3, 3), rng.uniform(-3, 3), 0.0, -0.0])
+    if kind == "float":
+        return real
+    return complex(real, rng.choice([rng.uniform(-3, 3), 0.0, -0.0]))
+
+
+def curve_float_calls(rng):
+    """The floats of the curve queries, by float.hex: both cross-ratios on
+    smooth quartics for an alpha line, then the four basis moves of (beta,
+    gamma), then a second alpha, then the first again; numeric residues and
+    section values after the exact ones on the same curve and alpha, and on
+    an irrational zero locus; TernaryForm values at float, complex and
+    mixed points."""
+    for _ in range(6):
+        quartic = _smooth_quartic(rng)
+        first, second, beta, gamma = (_random_line(rng) for _ in range(4))
+        c = Fraction(rng.randint(1, 3), rng.randint(1, 2))
+        pairs = [
+            (beta, gamma),
+            (tuple(b + c * a for a, b in zip(first, beta)), tuple(g + c * a for a, g in zip(first, gamma))),
+            (tuple(c * b for b in beta), tuple(c * g for g in gamma)),
+            (beta, tuple(g + c * b for b, g in zip(beta, gamma))),
+            (gamma, beta),
+        ]
+        queries = [(first, b, g) for b, g in pairs] + [(second, beta, gamma), (first, beta, gamma)]
+        for alpha, b, g in queries:
+            call = "cross_ratio(%s, %s, %s, %s)" % (
+                render(quartic.form.coeffs), render(alpha), render(b), render(g))
+            yield call, outcome(quartic_cross_ratio, quartic, alpha, b, g, show=_hex)
+    for genus in range(2, 6):
+        f_roots = rng.sample(range(-20, 21), 2 * genus + rng.choice([1, 2]))
+        curve = HyperellipticCurve(Polynomial.from_roots(f_roots, lead=rng.choice([1, -2, 3])))
+        roots = rng.sample([x for x in range(-25, 26) if Fraction(x, 3) not in f_roots], genus - 1)
+        rational = Polynomial.from_roots([Fraction(r, 3) for r in roots], lead=rng_fraction(rng, 9, 4) or 1)
+        irrational = Polynomial.from_roots(roots[2:], lead=2) * Polynomial([-3, 0, 1])
+        omega = QuadDifferential(curve, Polynomial([rng_fraction(rng, 9, 4) for _ in range(2 * genus - 1)]),
+                                 Polynomial([rng_fraction(rng, 9, 4) for _ in range(max(0, genus - 2))]))
+        beta = Differential(curve, _form(rng, rng.randint(0, genus - 1)))
+        gamma = Differential(curve, _form(rng, rng.randint(0, genus - 1)))
+        for alpha, modes in ((rational, (False, True)), (irrational, (True,))):
+            if alpha.degree != genus - 1:
+                continue
+            a = Differential(curve, alpha)
+            head = "f=%s, alpha=%s" % (_coeffs(curve.f), _coeffs(alpha))
+            for numeric in modes:
+                show = _hex if numeric else render
+                yield "residues(%s, q=%s, r=%s, numeric=%s)" % (
+                    head, _coeffs(omega.q), _coeffs(omega.r), numeric), outcome(
+                    residues_of_quotient, omega, a, numeric, show=show)
+                yield "sections(%s, beta=%s, gamma=%s, numeric=%s)" % (
+                    head, _coeffs(beta.p), _coeffs(gamma.p), numeric), outcome(
+                    section_values, gamma, beta, a, numeric, show=show)
+    kinds = [("float",) * 3, ("complex",) * 3, ("float", "complex", "int"),
+             ("int", "float", "complex"), ("Fraction", "float", "float"), ("complex", "Fraction", "float")]
+    for _ in range(12):
+        degree = rng.choice([1, 2, 4])
+        form = TernaryForm(degree, {m: rng.choice([rng.randint(-5, 5), rng_fraction(rng, 30, 17)])
+                                    for m in ternary_monomials(degree)})
+        for kind in kinds:
+            point = tuple(_float_coordinate(rng, k) for k in kind)
+            yield "value(%s, %s)" % (render(form.coeffs), _hex(point)), outcome(form, point, show=_hex)
+
+
 def _cover_analyze(a, b, branch):
     """What `cover analyze` prints: genus, degree, covolume, det and the
     period lattice of the cover with monodromy (a, b, branch)."""
@@ -800,6 +889,7 @@ FAMILIES = {
     "zero_locus": (21, zero_locus_calls),
     "covers": (22, cover_calls),
     "maps": (23, map_calls),
+    "curve_floats": (24, curve_float_calls),
 }
 
 

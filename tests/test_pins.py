@@ -4,8 +4,9 @@ invariants, line verdicts and Sp(2g, Z) extensions of the periods path, the
 polynomial gcd, squarefree test and rational roots, the quartic smoothness
 and cross-ratio verdicts with the form values behind them, the exact
 residues and section values, the cover invariants, period lattices and
-origami genera, and the Sp(2g, Z) maps between complete rank-2 and rank-4
-sublattices with their refusals, on a seeded corpus, against the digests in
+origami genera, the Sp(2g, Z) maps between complete rank-2 and rank-4
+sublattices with their refusals, and every bit of the floats the curve
+queries return, on a seeded corpus, against the digests in
 pin_corpus.json.  On a failure, `PYTHONPATH=src python
 tests/pin_corpus.py --check` names the first differing call of each
 family."""
