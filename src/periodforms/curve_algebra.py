@@ -33,9 +33,16 @@ LINKED = "linked"
 
 
 class HyperellipticCurve:
-    """The curve y^2 = f(x) with f squarefree of degree 2g+1 or 2g+2."""
+    """The curve y^2 = f(x) with f squarefree of degree 2g+1 or 2g+2.
 
-    __slots__ = ("f", "genus")
+    The curve keeps the validated zero locus of the last alpha it was asked
+    about, in exact or numeric mode, so that residues_of_quotient and
+    section_values on one alpha find its zeroes once.  Only a locus that
+    passed every check is kept; the memo takes no part in equality, hashing
+    or repr.
+    """
+
+    __slots__ = ("f", "genus", "_memo")
 
     def __init__(self, f):
         if not isinstance(f, Polynomial):
@@ -46,6 +53,8 @@ class HyperellipticCurve:
             raise DomainError("the defining polynomial must be squarefree")
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "genus", (f.degree - 1) // 2)
+        # ((alpha polynomial, numeric), x-values), see _affine_zero_values
+        object.__setattr__(self, "_memo", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("HyperellipticCurve is immutable")
@@ -72,9 +81,16 @@ class PlaneQuartic:
     have no common projective zero iff their multiples by the degree-4
     monomials span all 36 septics, one integer rank (Macaulay 1916; Cox,
     Little and O'Shea, "Using Algebraic Geometry", ch. 3).
+
+    The quartic keeps the chart of the last alpha line quartic_cross_ratio
+    was asked about, with the restriction of the form to it and, once
+    found, the restriction's numeric roots, so that every basis move of
+    (beta, gamma) on one alpha reuses them.  Only a chart that passed its
+    degree and squarefree checks is kept, and no failure is; the memo takes
+    no part in equality, hashing or repr.
     """
 
-    __slots__ = ("form", "genus")
+    __slots__ = ("form", "genus", "_memo")
 
     def __init__(self, form):
         if not isinstance(form, TernaryForm):
@@ -87,6 +103,8 @@ class PlaneQuartic:
             raise DomainError("the quartic is singular")
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "genus", 3)
+        # (alpha line, v, base, restriction, roots or None), see _alpha_chart
+        object.__setattr__(self, "_memo", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PlaneQuartic is immutable")
@@ -451,13 +469,19 @@ def _float_values(evaluate, xs):
 
 def _affine_zero_values(alpha, numeric, simple_error):
     """The x-values under the 2g-2 zeroes of alpha, each carrying two
-    points of the curve; validates the zero locus as a side effect."""
+    points of the curve; validates the zero locus as a side effect.  A
+    locus that passed every check is kept on the curve, keyed by alpha and
+    the mode, and returned as is when both come again."""
     curve = alpha.curve
     if not isinstance(curve, HyperellipticCurve):
         raise DomainError("the operation is defined on hyperelliptic curves")
     if alpha.is_zero():
         raise DomainError("zero differential")
     p = alpha.p
+    key = (p, bool(numeric))
+    memo = curve._memo
+    if memo is not None and memo[0] == key:
+        return memo[1]
     g = curve.genus
     if p.degree < g - 1:
         raise DomainError("a zero of alpha lies at infinity")
@@ -466,12 +490,14 @@ def _affine_zero_values(alpha, numeric, simple_error):
     if p.gcd(curve.f).degree > 0:
         raise DomainError("alpha vanishes on the branch locus")
     if numeric:
-        return _numeric_roots(p)
-    # p is squarefree, so its roots are simple
-    roots = p._simple_rational_roots()
-    if len(roots) != p.degree:
-        raise DomainError("irrational zero of alpha in exact mode")
-    return roots
+        xs = tuple(_numeric_roots(p))
+    else:
+        # p is squarefree, so its roots are simple
+        xs = tuple(p._simple_rational_roots())
+        if len(xs) != p.degree:
+            raise DomainError("irrational zero of alpha in exact mode")
+    object.__setattr__(curve, "_memo", (key, xs))
+    return xs
 
 
 def section_values(gamma: Differential, beta: Differential, alpha: Differential,
@@ -569,6 +595,36 @@ def _as_line(curve, value):
     return line
 
 
+def _alpha_chart(quartic, alpha):
+    """(v, base, R, roots) for the alpha line: the chart P(t) = v + t*base
+    with base off the curve, the restriction R(t) = F(P(t)), proved a
+    squarefree quartic, and R's numeric roots, or None until they are
+    found.  The last chart is kept on the quartic; one is kept only after
+    its checks pass."""
+    memo = quartic._memo
+    if memo is not None and memo[0] == alpha:
+        return memo[1:]
+    u, v = _line_basis(alpha)
+    base = None
+    for k in range(6):
+        candidate = tuple(u[i] + k * v[i] for i in range(3))
+        if quartic.form(candidate) != 0:
+            base = candidate
+            break
+    # at most four points of the line lie on the quartic, so some shift works
+    if base is None:
+        raise DomainError("no admissible chart on the line")
+    coords = tuple(Polynomial((v[i], base[i])) for i in range(3))
+    restricted = quartic.form(coords)
+    # the leading coefficient is F(base) != 0
+    if restricted.degree != 4:
+        raise DomainError("restriction must stay a quartic")
+    if not restricted.is_squarefree():
+        raise DomainError("non-simple zeroes")
+    object.__setattr__(quartic, "_memo", (alpha, v, base, restricted, None))
+    return v, base, restricted, None
+
+
 def _cross_ratio(a, b, c, d):
     return ((a - c) * (b - d)) / ((b - c) * (a - d))
 
@@ -594,27 +650,15 @@ def quartic_cross_ratio(quartic: PlaneQuartic, alpha_line, beta_line, gamma_line
     nonzero determinant, defined at the four distinct roots, and Moebius
     maps preserve cross-ratios in the same order.  So the two cross-ratios
     are equal and ``matches`` is always True; floats only give the values.
+
+    The quartic keeps the chart, R and R's roots for the last alpha line,
+    so further calls on that line with other beta and gamma repeat only
+    the beta and gamma checks and the values.  A failure is never kept.
     """
     alpha = _as_line(quartic, alpha_line)
     beta = _as_line(quartic, beta_line)
     gamma = _as_line(quartic, gamma_line)
-    u, v = _line_basis(alpha)
-    base = None
-    for k in range(6):
-        candidate = tuple(u[i] + k * v[i] for i in range(3))
-        if quartic.form(candidate) != 0:
-            base = candidate
-            break
-    # at most four points of the line lie on the quartic, so some shift works
-    if base is None:
-        raise DomainError("no admissible chart on the line")
-    coords = tuple(Polynomial((v[i], base[i])) for i in range(3))
-    restricted = quartic.form(coords)
-    # the leading coefficient is F(base) != 0
-    if restricted.degree != 4:
-        raise DomainError("restriction must stay a quartic")
-    if not restricted.is_squarefree():
-        raise DomainError("non-simple zeroes")
+    v, base, restricted, roots = _alpha_chart(quartic, alpha)
     b0, b1 = beta(v), beta(base)
     if (b0 == 0 and b1 == 0) or (b1 != 0 and restricted(-b0 / b1) == 0):
         raise DomainError("beta vanishes at a zero of alpha")
@@ -622,7 +666,9 @@ def quartic_cross_ratio(quartic: PlaneQuartic, alpha_line, beta_line, gamma_line
     if g1 * b0 == g0 * b1:
         raise DomainError("degenerate quadruple")
 
-    roots = _numeric_roots(restricted)
+    if roots is None:
+        roots = tuple(_numeric_roots(restricted))
+        object.__setattr__(quartic, "_memo", (alpha, v, base, restricted, roots))
     points = [tuple(complex(base[i]) * t + complex(v[i]) for i in range(3)) for t in roots]
     try:
         forms_ratio = _cross_ratio(*[gamma(z) / beta(z) for z in points])

@@ -37,7 +37,7 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, v):
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def vec_gcd(v):

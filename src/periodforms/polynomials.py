@@ -8,7 +8,8 @@ and found otherwise by Brown's modular algorithm with an exact division
 check (Brown, J. ACM 18, 1971; Knuth, TAOCP vol. 2, 4.6.1).  A TernaryForm
 is integer coefficients over one positive denominator too, so its values
 at rational and Polynomial points are integer sums.  Nothing in here ever
-rounds; floats and complex numbers go through the Fraction coefficients.
+rounds; values at float and complex points are those the Fraction
+coefficients give, bit for bit.
 """
 
 from __future__ import annotations
@@ -576,15 +577,26 @@ class TernaryForm:
             px, py, pz = ([x**e for e in range(n + 1)]
                           for x in (c.numerator * (d // c.denominator) for c in point))
             return Fraction(sum(c * px[i] * py[j] * pz[k] for (i, j, k), c in num), self.den * d**n)
-        # floats and complex numbers take the Fraction coefficients, so
-        # their values stay bit-identical; one power table per coordinate
+        # one power table per coordinate; each term is its coefficient
+        # times the x power first.  A Fraction times a float is c / den
+        # times it, and times a complex number complex(c / den) times it,
+        # so with a float or complex x the coefficients are taken as those
+        # and every value stays bit-identical; an exact x keeps the Fraction
+        # coefficients, whose product with it is exact
         powers = [[c**0] for c in point]
         for c, row in zip(point, powers):
             for _ in range(n):
                 row.append(row[-1] * c)
         px, py, pz = powers
+        den = self.den
+        if isinstance(point[0], complex):
+            coeffs = [(key, complex(c / den)) for key, c in num]
+        elif isinstance(point[0], float):
+            coeffs = [(key, c / den) for key, c in num]
+        else:
+            coeffs = self.coeffs
         acc = 0
-        for (i, j, k), value in self.coeffs:
+        for (i, j, k), value in coeffs:
             acc = acc + value * px[i] * py[j] * pz[k]
         return acc
 

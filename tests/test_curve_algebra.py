@@ -870,16 +870,19 @@ def test_fermat_cross_ratio_is_harmonic():
 
 def test_cross_ratio_refuses_a_line_without_a_chart(monkeypatch):
     # explicit checks, not asserts: a wrong line basis puts every shift on
-    # the curve, and a chart without its t term restricts to a constant
+    # the curve, and a chart without its t term restricts to a constant.
+    # A fresh quartic has no chart kept from an earlier call to skip them.
+    quartic = PlaneQuartic(FERMAT.form)
     monkeypatch.setattr(curve_algebra, "_line_basis", lambda line: [(F(0),) * 3] * 2)
     with pytest.raises(DomainError, match="no admissible chart on the line"):
-        quartic_cross_ratio(FERMAT, (0, 0, 1), (1, 0, 0), (0, 1, 0))
+        quartic_cross_ratio(quartic, (0, 0, 1), (1, 0, 0), (0, 1, 0))
 
 
 def test_cross_ratio_refuses_a_restriction_of_lower_degree(monkeypatch):
+    quartic = PlaneQuartic(FERMAT.form)
     monkeypatch.setattr(curve_algebra, "Polynomial", lambda coeffs: Polynomial(coeffs[:1]))
     with pytest.raises(DomainError, match="restriction must stay a quartic"):
-        quartic_cross_ratio(FERMAT, (0, 0, 1), (1, 0, 0), (0, 1, 0))
+        quartic_cross_ratio(quartic, (0, 0, 1), (1, 0, 0), (0, 1, 0))
 
 
 def test_cross_ratio_invariant_under_proof_moves():
@@ -963,6 +966,128 @@ def test_cross_ratio_beyond_float_resolution_is_refused():
     quartic = _binary_quartic_plus_z4(F(1, 10**400))
     with pytest.raises(DomainError, match="not representable in floating point"):
         quartic_cross_ratio(quartic, (0, 0, 1), (0, 1, 0), (1, 0, 0))
+
+
+# ------------------------------------------------------------------ memos
+# A quartic keeps the chart of its last alpha line and a hyperelliptic
+# curve the zero locus of its last alpha; a fresh copy of the curve is the
+# reference, since it has kept nothing.
+
+def cold_cross_ratio(quartic, alpha, beta, gamma):
+    return quartic_cross_ratio(PlaneQuartic(quartic.form), alpha, beta, gamma)
+
+
+def test_warm_chart_keeps_every_refusal():
+    quartic = PlaneQuartic(FLEXED.form)
+    first = quartic_cross_ratio(quartic, (0, 0, 1), (1, 0, 0), (0, 1, 0))
+    for _ in range(2):
+        with pytest.raises(DomainError, match="non-simple zeroes"):
+            quartic_cross_ratio(quartic, (0, 1, -1), (1, 0, 0), (0, 1, 0))
+    assert quartic_cross_ratio(quartic, (0, 0, 1), (1, 0, 0), (0, 1, 0)) == first
+    for _ in range(2):
+        with pytest.raises(DomainError, match="beta vanishes at a zero of alpha"):
+            quartic_cross_ratio(quartic, (0, 0, 1), (0, 0, 1), (0, 1, 0))
+        with pytest.raises(DomainError, match="degenerate quadruple"):
+            quartic_cross_ratio(quartic, (0, 0, 1), (1, 0, 0), (2, 0, 0))
+        # in an earlier check's order: a zero line, then the chart
+        with pytest.raises(DomainError, match="zero differential"):
+            quartic_cross_ratio(quartic, (0, 0, 1), (0, 0, 0), (0, 1, 0))
+    assert quartic_cross_ratio(quartic, (0, 0, 1), (1, 0, 0), (0, 1, 0)) == first
+
+
+def test_no_failure_is_kept():
+    quartic = PlaneQuartic(FLEXED.form)
+    with pytest.raises(DomainError, match="non-simple zeroes"):
+        quartic_cross_ratio(quartic, (0, 1, -1), (1, 0, 0), (0, 1, 0))
+    assert quartic._memo is None
+    # the chart passed its checks, so a refused beta leaves it without roots
+    with pytest.raises(DomainError, match="beta vanishes at a zero of alpha"):
+        quartic_cross_ratio(quartic, (0, 0, 1), (0, 0, 1), (0, 1, 0))
+    assert quartic._memo[-1] is None
+    assert quartic_cross_ratio(quartic, (0, 0, 1), (1, 0, 0), (0, 1, 0)) == cold_cross_ratio(
+        quartic, (0, 0, 1), (1, 0, 0), (0, 1, 0))
+    curve = hyperelliptic([3, 4, 5, 6, 7, 8, 9, 10])
+    gamma = Differential(curve, X)
+    for alpha in (X * X, X * (X - 3), X * X - 2):
+        with pytest.raises(DomainError):
+            section_values(gamma, gamma, Differential(curve, alpha))
+        assert curve._memo is None
+
+
+def test_charts_do_not_leak_between_lines_or_quartics():
+    rng = random.Random(31)
+    quartics = [random_quartic(rng) for _ in range(2)]
+    a, b, beta, gamma = (random_line(rng) for _ in range(4))
+    seen = set()
+    for alpha in (a, b, a):
+        for quartic in quartics:
+            expected = cold_cross_ratio(quartic, alpha, beta, gamma)
+            assert quartic_cross_ratio(quartic, alpha, beta, gamma) == expected
+            seen.add(expected)
+            # one entry, for the last line asked about
+            assert quartic._memo[0] == TernaryForm.linear(*alpha)
+    # four different charts, so a chart read off the wrong line or quartic shows
+    assert len(seen) == 4
+
+
+def test_zero_loci_are_kept_per_mode():
+    curve = hyperelliptic([3, 4, 5, 6, 7, 8, 9, 10])
+    alpha = Differential(curve, X * (X - 2))
+    beta = Differential(curve, Polynomial([1]))
+    gamma = Differential(curve, X)
+    omega = QuadDifferential(curve, Polynomial([1, 2, 3, 0, 4]), Polynomial([5]))
+    exact = section_values(gamma, beta, alpha)
+    assert exact == [0, 0, 2, 2] and all(isinstance(v, F) for v in exact)
+    numeric = section_values(gamma, beta, alpha, numeric=True)
+    assert all(isinstance(v, complex) for v in numeric)
+    assert max(abs(n - float(v)) for n, v in zip(numeric, exact)) < 1e-9
+    parts = lambda values: [(v.a, v.b, v.disc) for v in values]
+    cold = hyperelliptic([3, 4, 5, 6, 7, 8, 9, 10])
+    assert parts(residues_of_quotient(omega, alpha)) == parts(
+        residues_of_quotient(QuadDifferential(cold, omega.q, omega.r), Differential(cold, alpha.p)))
+    assert section_values(gamma, beta, alpha) == exact
+    assert all(isinstance(v, complex) for v in residues_of_quotient(omega, alpha, numeric=True))
+    other = Differential(curve, (X - 1) * (X - 2))
+    assert section_values(gamma, beta, other) == [1, 1, 2, 2]
+    assert section_values(gamma, beta, alpha) == exact
+
+
+def test_repeated_zero_keeps_each_message_in_either_order():
+    curve = hyperelliptic([3, 4, 5, 6, 7, 8, 9, 10])
+    omega = QuadDifferential(curve, Polynomial([1]))
+    gamma = Differential(curve, X)
+    one = Differential(curve, Polynomial([1]))
+    good = Differential(curve, X * (X - 2))
+    repeated = Differential(curve, X * X)
+
+    def residues():
+        with pytest.raises(DomainError, match="higher-order zero unsupported in residue mode"):
+            residues_of_quotient(omega, repeated)
+
+    def sections():
+        with pytest.raises(DomainError, match="zeroes of alpha are not distinct"):
+            section_values(gamma, gamma, repeated)
+
+    for order in ((residues, sections), (sections, residues)):
+        section_values(gamma, one, good)
+        for check in order + order:
+            check()
+
+
+def test_memos_change_no_equality_hash_repr_or_immutability():
+    quartic = PlaneQuartic(FERMAT.form)
+    quartic_cross_ratio(quartic, (0, 0, 1), (1, 0, 0), (0, 1, 0))
+    curve = hyperelliptic([3, 4, 5, 6, 7, 8, 9, 10])
+    section_values(Differential(curve, X), Differential(curve, Polynomial([1])), Differential(curve, X * (X - 2)))
+    for warm, cold, text in ((quartic, PlaneQuartic(FERMAT.form), "PlaneQuartic(%r)" % (FERMAT.form,)),
+                             (curve, hyperelliptic([3, 4, 5, 6, 7, 8, 9, 10]),
+                              "HyperellipticCurve(%r)" % (curve.f,))):
+        assert warm._memo is not None and cold._memo is None
+        assert warm == cold and hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold) == text
+        for name in ("_memo", "genus", "other"):
+            with pytest.raises(AttributeError, match="is immutable"):
+                setattr(warm, name, None)
 
 
 def _cross(u, v):
