@@ -577,12 +577,11 @@ class TernaryForm:
             px, py, pz = ([x**e for e in range(n + 1)]
                           for x in (c.numerator * (d // c.denominator) for c in point))
             return Fraction(sum(c * px[i] * py[j] * pz[k] for (i, j, k), c in num), self.den * d**n)
-        # one power table per coordinate; each term is its coefficient
-        # times the x power first.  A Fraction times a float is c / den
-        # times it, and times a complex number complex(c / den) times it,
-        # so with a float or complex x the coefficients are taken as those
-        # and every value stays bit-identical; an exact x keeps the Fraction
-        # coefficients, whose product with it is exact
+        # one power table per coordinate.  Each term multiplies its
+        # coefficient by the x power first, and a Fraction times a float or
+        # complex number is c / den, or complex(c / den), times it: so a
+        # float or complex x takes those coefficients, bit-identically, and
+        # an int or Fraction x the exact Fractions
         powers = [[c**0] for c in point]
         for c, row in zip(point, powers):
             for _ in range(n):

@@ -989,7 +989,7 @@ def test_warm_chart_keeps_every_refusal():
             quartic_cross_ratio(quartic, (0, 0, 1), (0, 0, 1), (0, 1, 0))
         with pytest.raises(DomainError, match="degenerate quadruple"):
             quartic_cross_ratio(quartic, (0, 0, 1), (1, 0, 0), (2, 0, 0))
-        # in an earlier check's order: a zero line, then the chart
+        # a zero beta is refused before the chart is read, warm or cold
         with pytest.raises(DomainError, match="zero differential"):
             quartic_cross_ratio(quartic, (0, 0, 1), (0, 0, 0), (0, 1, 0))
     assert quartic_cross_ratio(quartic, (0, 0, 1), (1, 0, 0), (0, 1, 0)) == first
