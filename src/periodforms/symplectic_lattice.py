@@ -30,18 +30,6 @@ from .intlinalg import (
 )
 
 
-def standard_gram(genus: int):
-    """Gram matrix of the standard symplectic form, g blocks [[0,1],[-1,0]]."""
-    if genus < 1:
-        raise DomainError("genus must be at least 1")
-    n = 2 * genus
-    j = [[0] * n for _ in range(n)]
-    for i in range(genus):
-        j[2 * i][2 * i + 1] = 1
-        j[2 * i + 1][2 * i] = -1
-    return j
-
-
 def omega(u, v):
     """Standard symplectic pairing, generic over the coefficient ring."""
     total = 0
@@ -239,16 +227,17 @@ class SpMatrix:
     """An element of Sp(2g, Z) for the standard form, acting on columns.
 
     The public constructor checks E^T J E = J on every matrix built from raw
-    entries: user input, the elementary moves of _moves_to_e0 (in
-    extend_to_symplectic_basis and _to_e0), _shear, and the matrix
-    map_rank2_sublattice / map_rank4_sublattice return.  Entry (i, k) of
-    E^T J E is omega(E_i, E_k) for the columns E_i, so for every integer E
-    the product is alternating, like J: its diagonal is zero and its lower
-    triangle is minus its upper one.  Checking the strict upper triangle is
-    therefore the whole identity, at half the work.  Products, inverses,
-    the identity and block embeddings of members stay in Sp(2g, Z) because
-    it is a group, so compose, inverse, sp_identity and _embed_reduced build
-    through _trusted and skip the check.
+    entries: user input, the extension of extend_to_symplectic_basis, each
+    canonical reduction of _reduce_to_canonical, and the matrix
+    map_rank2_sublattice / map_rank4_sublattice return.  The row operations
+    that build an extension or a reduction are checked only through that
+    result.  Entry (i, k) of E^T J E is omega(E_i, E_k) for the columns
+    E_i, so for every integer E the product is alternating, like J: its
+    diagonal is zero and its lower triangle is minus its upper one.
+    Checking the strict upper triangle is therefore the whole identity, at
+    half the work.  Products and inverses of members stay in Sp(2g, Z)
+    because it is a group, so compose and inverse build through _trusted
+    and skip the check.
     """
 
     def __init__(self, entries):
@@ -300,10 +289,6 @@ class SpMatrix:
         return "SpMatrix(genus=%d)" % self.genus
 
 
-def sp_identity(genus: int) -> SpMatrix:
-    return SpMatrix._trusted(identity(2 * genus))
-
-
 def extend_to_symplectic_basis(v, genus=None) -> SpMatrix:
     """Symplectic matrix whose first column is the primitive vector v.
 
@@ -326,24 +311,27 @@ def extend_to_symplectic_basis(v, genus=None) -> SpMatrix:
     return a
 
 
-def _moves_to_e0(v):
+def _moves_to_e0(v, a=None):
     """A in Sp(2g, Z) with A v = e0 for a primitive v, by elementary
-    symplectic moves (Newman, Integral Matrices, 1972, ch. VII).
+    symplectic moves (Newman, Integral Matrices, 1972, ch. VII); given 2g
+    rows a of any width, the product A a instead.
 
-    Each move is a row operation applied both to A and to a working copy
-    u of v; coordinates pair as (a_p, b_p) = (u[2p], u[2p + 1]).  Euclid by
-    SL2 shears leaves one nonzero entry in each pair, and a quarter turn
-    (a, b) -> (b, -a) puts pair 0's at a_0.  The nonzero entry c of each
-    later pair j is then folded into a_0 by Euclid with the cross moves
+    Each move is a row operation applied both to the rows, the identity by
+    default, and to a working copy u of v; coordinates pair as
+    (a_p, b_p) = (u[2p], u[2p + 1]).  Euclid by SL2 shears leaves one
+    nonzero entry in each pair, and a quarter turn (a, b) -> (b, -a) puts
+    pair 0's at a_0.  The nonzero entry c of each later pair j is then
+    folded into a_0 by Euclid with the cross moves
     a_j += k a_0, b_0 -= k b_j;  b_j += k a_0, b_0 += k a_j;
     a_0 += k a_j, b_j -= k b_0;  a_0 += k b_j, a_j += k b_0,
     each symplectic and each leaving b_0 = 0 in u.  An empty pair 0 is
     swapped with pair j instead.  u ends as (+-1) e0, and negating pair 0
-    fixes the sign.
+    fixes the sign.  The rows are replaced, never changed in place, and the
+    list given is left as it is.
     """
     u = list(v)
     n = len(u)
-    a = identity(n)
+    a = identity(n) if a is None else list(a)
 
     def add(i, k, j):
         u[i] += k * u[j]
@@ -383,114 +371,70 @@ def _moves_to_e0(v):
     return a
 
 
-def _to_e0(v) -> SpMatrix:
-    """The checked SpMatrix of _moves_to_e0(v), which must send v to e0."""
-    r = SpMatrix(_moves_to_e0(v))
-    # an explicit check, so it still runs under python -O
-    if r.apply(v) != [1] + [0] * (len(v) - 1):
-        raise DomainError("the moves do not send the vector to e0")
-    return r
-
-
-def _covector(v):
-    """J^T v, a signed swap of each coordinate pair: omega(v, x) = J^T v . x."""
-    out = []
-    for k in range(0, len(v), 2):
-        out += [-v[k + 1], v[k]]
-    return out
-
-
-def _embed_reduced(m: SpMatrix, genus: int) -> SpMatrix:
-    """Lift an Sp(2g-2, Z) matrix to Sp(2g, Z) fixing e0 and f0."""
-    n = 2 * genus
-    out = identity(n)
-    for i in range(n - 2):
-        for k in range(n - 2):
-            out[i + 2][k + 2] = m.entries[i][k]
-    return SpMatrix._trusted(out)
-
-
-def _shear(xred, genus: int) -> SpMatrix:
-    """Sp(2g, Z) fixing e0, sending f0 to f0 + x (x in the e0-f0 complement),
-    and correcting the other basis vectors by multiples of e0."""
-    n = 2 * genus
-    x = [0, 0] + [int(t) for t in xred]
-    if len(x) != n:
-        raise DomainError("shear vector has wrong length")
-    cov = _covector(x)
-    cols = []
-    e0 = [1] + [0] * (n - 1)
-    cols.append(e0)
-    f0col = [0, 1] + list(x[2:])
-    cols.append(f0col)
-    for k in range(2, n):
-        bk = [1 if i == k else 0 for i in range(n)]
-        coef = cov[k]  # omega(x, b_k)
-        col = [bi + coef * ei for bi, ei in zip(bk, e0)]
-        cols.append(col)
-    return SpMatrix(transpose(cols))
-
-
 def _canonical_rank2(d: int, genus: int) -> Sublattice:
     n = 2 * genus
     e0 = [1] + [0] * (n - 1)
     if d == 1:
         f0 = [0, 1] + [0] * (n - 2)
         return Sublattice([e0, f0])
-    if genus < 2:
-        raise DomainError("determinant > 1 impossible at genus 1")
     y = [0] * n
     y[1] = d
     y[2] = 1
     return Sublattice([e0, y])
 
 
-def _reduce_pair(x, y, d: int, genus: int) -> SpMatrix:
-    """R in Sp(2g, Z) mapping span(x, y) onto the canonical lattice of d,
-    for an adapted pair of a complete lattice: omega(x, y) = d > 0.
+def _reduce_pair(a, lo: int, x, y, d: int):
+    """Row operations on rows lo.. of a, the 2g x 2g reduction so far, after
+    which a takes span(x, y) onto the canonical lattice of d in the
+    coordinates from lo on, with basis e0, f0, e1, f1, ... there.  The pair
+    is adapted, omega(x, y) = d > 0, from a complete lattice, and its image
+    under a vanishes before lo.
 
     Follows the quotient construction: the moves of _moves_to_e0 take x to
-    e0, and the residue of y in the quotient e0-perp / e0, m times a
-    primitive vector, to m*e1 in Sp(2g-2, Z).  Unless m = 1 (mod d), the extension of (t, d)
-    with m*t = 1 (mod d) then turns it into m'*e1 + m*d*f1, m' = m*t;
-    otherwise m' = m.  A shear fixing e0 and sending f0 to f0 + w ends it:
-    w = -k*e1 with k = (m' - 1) // d (k = m at d = 1), minus m*f1 after
-    the extension, leaves d*f0 + e1 (f0 at d = 1).
+    e0, and those of the residue of y in the quotient e0-perp / e0, m times
+    a primitive vector, take it to m*e1 on the rows after f0.  Unless
+    m = 1 (mod d), the SL2 step sends e1, f1 to the columns of the inverse
+    of the moves of (t, d), m*t = 1 (mod d), which turns m*e1 into
+    m'*e1 + m*d*f1, m' = m*t; otherwise m' = m.  A shear fixing e0 and
+    sending f0 to f0 + w ends it: w = -k*e1 with k = (m' - 1) // d (k = m at
+    d = 1), minus m*f1 after the SL2 step, leaves d*f0 + e1 (f0 at d = 1).
     """
+    xl = mat_vec(a, x)[lo:]
     # explicit checks, so they still run under python -O
-    if not is_indivisible(x):
+    if not is_indivisible(xl):
         raise DomainError("adapted basis of a complete lattice is primitive")
-    r = _to_e0(x)
-    y1 = r.apply(y)
+    a[lo:] = _moves_to_e0(xl, a[lo:])
+    if mat_vec(a, x) != [0] * lo + [1] + [0] * (len(xl) - 1):
+        raise DomainError("the moves do not send the vector to e0")
+    y1 = mat_vec(a, y)[lo:]
     if y1[1] != d:
         raise DomainError("pairing with e0 must equal the divisor")
     z = y1[2:]
     if is_zero_vec(z):
         if d != 1:
             raise DomainError("sublattice not complete")
-        return r
-    if genus < 2:
-        raise DomainError("unexpected residue at genus 1")
+        return
     m = vec_gcd(z)
     if gcd(m, d) != 1:
         raise DomainError("sublattice not complete")
-    r = _embed_reduced(_to_e0([t // m for t in z]), genus).compose(r)
+    a[lo + 2 :] = _moves_to_e0([t // m for t in z], a[lo + 2 :])
     # the moved lattice is span{e0, d*f0 + m*e1 (mod e0)}
-    red = [0] * (2 * genus - 2)
+    e1, f1 = a[lo + 2 : lo + 4]
+    w1 = 0
     if m % d > 1:
         t = pow(m, -1, d)
-        b2 = extend_to_symplectic_basis([t, d] + [0] * (2 * genus - 4), genus - 1)
-        r = _embed_reduced(b2, genus).compose(r)
-        m, red[1] = m * t, -m
-    red[0] = -((m - (d > 1)) // d)
-    r = _shear(red, genus).compose(r)
-    _check_canonical(r, x, y, d)
-    return r
-
-
-def _check_canonical(r: SpMatrix, x, y, d: int):
-    image = Sublattice([r.apply(x), r.apply(y)], genus=r.genus)
-    if not image.same_lattice(_canonical_rank2(d, r.genus)):
+        # the inverse of an SL2 matrix is its adjugate
+        (p, q), (r, s) = _moves_to_e0([t, d])
+        e1, f1 = ([s * i - q * j for i, j in zip(e1, f1)],
+                  [p * j - r * i for i, j in zip(e1, f1)])
+        m, w1 = m * t, -m
+    w0 = -((m - (d > 1)) // d)
+    f0 = a[lo + 1]
+    a[lo] = [i - w1 * j + w0 * k for i, j, k in zip(a[lo], e1, f1)]
+    a[lo + 2] = [i + w0 * j for i, j in zip(e1, f0)]
+    a[lo + 3] = [i + w1 * j for i, j in zip(f1, f0)]
+    image = Sublattice([mat_vec(a, x)[lo:], mat_vec(a, y)[lo:]])
+    if not image.same_lattice(_canonical_rank2(d, image.genus)):
         raise DomainError("canonical reduction failed")
 
 
@@ -498,11 +442,12 @@ def _reduce_to_canonical(lattice: Sublattice) -> SpMatrix:
     """R in Sp(2g, Z) mapping the complete rank-2 or rank-4 input onto the
     canonical lattice of its divisors.
 
-    One normal form gives the adapted pairs, and _reduce_pair takes the
-    first onto the canonical lattice of its divisor.  A second pair needs
-    that divisor to be 1, so the first lands on span(e0, f0) and the
-    second in its complement, where _reduce_pair reduces it in
-    Sp(2g-2, Z), embedded fixing e0 and f0.
+    R is one matrix, from the identity by row operations, and is checked
+    once at the end.  One normal form gives the adapted pairs, and
+    _reduce_pair takes the first onto the canonical lattice of its divisor.
+    A second pair needs that divisor to be 1, so the first lands on
+    span(e0, f0) and the second in its complement, where _reduce_pair
+    reduces it by operations on rows 2.. only, which fix e0 and f0.
     """
     g = lattice.genus
     nf = alternating_normal_form(lattice)
@@ -511,15 +456,16 @@ def _reduce_to_canonical(lattice: Sublattice) -> SpMatrix:
     if second and nf.divisors[0] != 1:
         raise DomainError("restriction not indivisible: divisors %d, %d; rank-4 maps support "
                           "only the orbit with first divisor 1" % tuple(nf.divisors))
-    r = _reduce_pair(x, y, nf.divisors[0], g)
-    if not second:
-        return r
-    x2, y2 = (r.apply(v) for v in second)
-    if any(x2[:2]) or any(y2[:2]):
-        raise DomainError("second factor must land in the complement of e0, f0")
-    if not is_complete(Sublattice([x2[2:], y2[2:]], genus=g - 1)):
-        raise DomainError("sublattice not complete")
-    return _embed_reduced(_reduce_pair(x2[2:], y2[2:], nf.divisors[1], g - 1), g).compose(r)
+    a = identity(2 * g)
+    _reduce_pair(a, 0, x, y, nf.divisors[0])
+    if second:
+        x2, y2 = (mat_vec(a, v) for v in second)
+        if any(x2[:2]) or any(y2[:2]):
+            raise DomainError("second factor must land in the complement of e0, f0")
+        if not is_complete(Sublattice([x2[2:], y2[2:]], genus=g - 1)):
+            raise DomainError("sublattice not complete")
+        _reduce_pair(a, 2, *second, nf.divisors[1])
+    return SpMatrix(a)
 
 
 def _map_sublattice(u: Sublattice, u2: Sublattice, rank: int) -> SpMatrix:

@@ -58,7 +58,6 @@ from periodforms.realizability import (
 from periodforms.symplectic_lattice import (
     map_rank2_sublattice,
     map_rank4_sublattice,
-    standard_gram,
 )
 
 from test_covers import branched_euler_genus, origami_euler_genus
@@ -75,6 +74,7 @@ from test_symplectic_lattice import (
     random_complete_rank2,
     random_complete_rank4,
     random_sp,
+    standard_gram,
 )
 
 X = Polynomial.x()

@@ -25,7 +25,6 @@ from periodforms.symplectic_lattice import (
     NormalForm,
     SpMatrix,
     Sublattice,
-    _embed_reduced,
     _moves_to_e0,
     alternating_normal_form,
     determinant,
@@ -36,14 +35,22 @@ from periodforms.symplectic_lattice import (
     map_rank4_sublattice,
     omega,
     saturate,
-    sp_identity,
-    standard_gram,
 )
 from test_intlinalg import integer_kernel
 
 
 # ---------------------------------------------------------------------------
 # oracles
+
+
+def standard_gram(genus):
+    """Gram matrix of the standard symplectic form, g blocks [[0,1],[-1,0]]."""
+    n = 2 * genus
+    j = [[0] * n for _ in range(n)]
+    for i in range(genus):
+        j[2 * i][2 * i + 1] = 1
+        j[2 * i + 1][2 * i] = -1
+    return j
 
 
 def smith_divisor_pairs(gram):
@@ -111,7 +118,7 @@ def brute_membership(lattice, vec, bound=6):
 def random_sp(genus, rng, steps=6, size=1):
     """Random product of symplectic transvections x -> x + omega(x, u) u."""
     n = 2 * genus
-    total = sp_identity(genus)
+    total = SpMatrix(identity(n))
     for _ in range(steps):
         u = [rng.randint(-size, size) for _ in range(n)]
         if all(x == 0 for x in u):
@@ -554,13 +561,30 @@ def test_moves_edge_cases():
         check_moves(v)
 
 
+def test_moves_on_given_rows_are_the_product():
+    # the reductions apply the moves to rows of a wider matrix; the rows
+    # given are left as they are
+    rng = random.Random(66)
+    for _ in range(100):
+        g = rng.randint(1, 6)
+        v = [0] * (2 * g)
+        while not any(v):
+            v = [rng.randint(-50, 50) if rng.random() < 0.8 else 0 for _ in range(2 * g)]
+        v = primitive(v)
+        width = 2 * g + rng.randint(1, 6)
+        rows = [[rng.randint(-9, 9) for _ in range(width)] for _ in range(2 * g)]
+        before = [list(r) for r in rows]
+        assert _moves_to_e0(v, rows) == mat_mul(_moves_to_e0(v), rows)
+        assert rows == before
+
+
 def test_sp_inverse_and_compose():
     rng = random.Random(9)
     for _ in range(20):
         g = rng.randint(1, 4)
         a = random_sp(g, rng)
-        assert a.compose(a.inverse()) == sp_identity(g)
-        assert a.inverse().compose(a) == sp_identity(g)
+        assert a.compose(a.inverse()) == SpMatrix(identity(2 * g))
+        assert a.inverse().compose(a) == SpMatrix(identity(2 * g))
 
 
 def test_sp_inverse_matches_the_matrix_product_formula():
@@ -574,8 +598,8 @@ def test_sp_inverse_matches_the_matrix_product_formula():
 
 
 def test_unchecked_sp_builders_pass_the_public_constructor():
-    # compose, inverse, sp_identity and _embed_reduced skip validation
-    # because Sp(2g, Z) is closed under them; the full check agrees
+    # compose and inverse skip validation because Sp(2g, Z) is closed
+    # under them; the full check agrees
     rng = random.Random(67)
     for _ in range(30):
         g = rng.randint(2, 5)
@@ -585,8 +609,6 @@ def test_unchecked_sp_builders_pass_the_public_constructor():
             a.compose(b),
             a.inverse(),
             a.compose(b).inverse(),
-            sp_identity(g),
-            _embed_reduced(random_sp(g - 1, rng, size=2), g),
         ]
         for m in built:
             assert SpMatrix(m.entries) == m
@@ -633,7 +655,7 @@ def test_unit_perturbations_of_extensions_are_rejected():
 
 
 def test_sp_apply_rejects_wrong_length():
-    m = sp_identity(2)
+    m = SpMatrix(identity(4))
     assert m.apply([1, 2, 3, 4]) == [1, 2, 3, 4]
     # a short vector used to be applied to a prefix, a long one to raise
     # a bare IndexError
@@ -838,7 +860,7 @@ def test_map_rank2_refuses_a_wrong_target_reduction(monkeypatch):
     u2 = Sublattice([[1, 0, -1, 0], [0, 1, 0, -1]])
     reduce = symplectic_lattice._reduce_to_canonical
     monkeypatch.setattr(symplectic_lattice, "_reduce_to_canonical",
-                        wrong_for(u2, reduce, sp_identity(2)))
+                        wrong_for(u2, reduce, SpMatrix(identity(4))))
     with pytest.raises(DomainError, match="rank-2 mapping failed"):
         map_rank2_sublattice(u, u2)
 
@@ -849,9 +871,76 @@ def test_map_rank4_refuses_a_wrong_target_reduction(monkeypatch):
     u2 = random_complete_rank4(3, 2, rng)
     reduce = symplectic_lattice._reduce_to_canonical
     monkeypatch.setattr(symplectic_lattice, "_reduce_to_canonical",
-                        wrong_for(u2, reduce, sp_identity(3)))
+                        wrong_for(u2, reduce, SpMatrix(identity(6))))
     with pytest.raises(DomainError, match="rank-4 mapping failed"):
         map_rank4_sublattice(u, u2)
+
+
+def moves_corrupted(real, length, corrupt):
+    """_moves_to_e0, except that its result on vectors of the given length
+    with no rows passes through corrupt; counts the corrupted calls."""
+    calls = []
+
+    def moves(v, a=None):
+        out = real(v, a)
+        if len(v) == length and a is None:
+            calls.append(v)
+            return corrupt(out)
+        return out
+    return moves, calls
+
+
+# span(e0, 3 f0 + 2 e1): residue m = 2, so 2 = m mod 3 takes the SL2 step
+SL2_LATTICE = Sublattice([[1, 0, 0, 0], [0, 3, 2, 0]])
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    # still in SL2(Z), so only the image comparison can see it: adding row 0
+    # to row 1 moves the first column of the inverse off (t, d)
+    (lambda m: [m[0], [m[1][0] + m[0][0], m[1][1] + m[0][1]]], "canonical reduction failed"),
+    # determinant 2 with the same first column of the inverse: the lattice
+    # lands right, and the check of the reduction refuses the matrix
+    (lambda m: [[2 * m[0][0], 2 * m[0][1]], m[1]], "does not preserve the symplectic form"),
+])
+def test_a_corrupted_sl2_step_is_refused(monkeypatch, corrupt, message):
+    moves, calls = moves_corrupted(symplectic_lattice._moves_to_e0, 2, corrupt)
+    monkeypatch.setattr(symplectic_lattice, "_moves_to_e0", moves)
+    with pytest.raises(DomainError, match=message):
+        map_rank2_sublattice(SL2_LATTICE, SL2_LATTICE)
+    # t = 2, the inverse of m = 2 modulo d = 3
+    assert calls == [[2, 3]]
+
+
+def test_moves_that_miss_e0_are_refused(monkeypatch):
+    # a quarter turn of pair 0 after the moves is symplectic, but sends the
+    # vector to -f0, not e0
+    real = symplectic_lattice._moves_to_e0
+
+    def moves(v, a=None):
+        out = real(v, a)
+        return [out[1], [-x for x in out[0]]] + out[2:]
+    monkeypatch.setattr(symplectic_lattice, "_moves_to_e0", moves)
+    with pytest.raises(DomainError, match="the moves do not send the vector to e0"):
+        map_rank2_sublattice(SL2_LATTICE, SL2_LATTICE)
+
+
+def test_each_map_makes_three_sp_checks(monkeypatch):
+    # one per canonical reduction and one on the returned map
+    checks = []
+    init = SpMatrix.__init__
+
+    def counted(self, entries):
+        checks.append(len(entries))
+        init(self, entries)
+    rng = random.Random(202)
+    cases = [(map_rank2_sublattice, SL2_LATTICE, SL2_LATTICE),
+             (map_rank2_sublattice, random_complete_rank2(4, 6, rng), random_complete_rank2(4, 6, rng)),
+             (map_rank4_sublattice, random_complete_rank4(4, 5, rng), random_complete_rank4(4, 5, rng))]
+    monkeypatch.setattr(SpMatrix, "__init__", counted)
+    for mapper, u, u2 in cases:
+        checks.clear()
+        assert mapper(u, u2).apply_lattice(u).same_lattice(u2)
+        assert len(checks) == 3
 
 
 def test_canonical_reduction_is_checked(monkeypatch):
