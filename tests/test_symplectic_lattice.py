@@ -876,20 +876,6 @@ def test_map_rank4_refuses_a_wrong_target_reduction(monkeypatch):
         map_rank4_sublattice(u, u2)
 
 
-def moves_corrupted(real, length, corrupt):
-    """_moves_to_e0, except that its result on vectors of the given length
-    with no rows passes through corrupt; counts the corrupted calls."""
-    calls = []
-
-    def moves(v, a=None):
-        out = real(v, a)
-        if len(v) == length and a is None:
-            calls.append(v)
-            return corrupt(out)
-        return out
-    return moves, calls
-
-
 # span(e0, 3 f0 + 2 e1): residue m = 2, so 2 = m mod 3 takes the SL2 step
 SL2_LATTICE = Sublattice([[1, 0, 0, 0], [0, 3, 2, 0]])
 
@@ -903,7 +889,14 @@ SL2_LATTICE = Sublattice([[1, 0, 0, 0], [0, 3, 2, 0]])
     (lambda m: [[2 * m[0][0], 2 * m[0][1]], m[1]], "does not preserve the symplectic form"),
 ])
 def test_a_corrupted_sl2_step_is_refused(monkeypatch, corrupt, message):
-    moves, calls = moves_corrupted(symplectic_lattice._moves_to_e0, 2, corrupt)
+    # the SL2 step is the one call of the moves on a 2-vector with no rows
+    real, calls = symplectic_lattice._moves_to_e0, []
+
+    def moves(v, a=None):
+        if len(v) == 2 and a is None:
+            calls.append(v)
+            return corrupt(real(v))
+        return real(v, a)
     monkeypatch.setattr(symplectic_lattice, "_moves_to_e0", moves)
     with pytest.raises(DomainError, match=message):
         map_rank2_sublattice(SL2_LATTICE, SL2_LATTICE)
@@ -941,6 +934,31 @@ def test_each_map_makes_three_sp_checks(monkeypatch):
         checks.clear()
         assert mapper(u, u2).apply_lattice(u).same_lattice(u2)
         assert len(checks) == 3
+
+
+@pytest.mark.parametrize("vectors", [
+    # no residue beside d = 2
+    [[1, 0, 0, 0], [0, 2, 0, 0]],
+    # the residue 2 e1 shares the factor 2 with d
+    [[1, 0, 0, 0], [0, 2, 2, 0]],
+])
+def test_reduction_refuses_an_incomplete_pair(vectors):
+    # the maps test completeness first, so only a direct call reaches these
+    lattice = Sublattice(vectors)
+    assert not is_complete(lattice)
+    with pytest.raises(DomainError, match="sublattice not complete"):
+        symplectic_lattice._reduce_to_canonical(lattice)
+
+
+def test_map_refuses_a_product_outside_sp(monkeypatch):
+    # an unchecked reduction that is not symplectic: the check of the
+    # returned map refuses the product
+    u = Sublattice([[1, 0, 0, 0], [0, 2, 1, 0]])
+    scaled = SpMatrix._trusted([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    reduce = symplectic_lattice._reduce_to_canonical
+    monkeypatch.setattr(symplectic_lattice, "_reduce_to_canonical", wrong_for(u, reduce, scaled))
+    with pytest.raises(DomainError, match="does not preserve the symplectic form"):
+        map_rank2_sublattice(u, u)
 
 
 def test_canonical_reduction_is_checked(monkeypatch):
