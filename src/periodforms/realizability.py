@@ -177,9 +177,15 @@ class RealizabilityVerdict:
 
 
 def area(c: CohomologyClass) -> Fraction:
-    """Signed area omega(Re c, Im c); positive for holomorphic orientation."""
+    """Signed area omega(Re c, Im c); positive for holomorphic orientation.
+
+    The pairing runs on the integer rows den * Re c, den * Im c of one
+    common denominator, and the area is that pairing over den^2.
+    """
+    from .intlinalg import clear_denominators
     from .symplectic_lattice import omega
-    return omega(c.re_vector(), c.im_vector())
+    (re, im), den = clear_denominators([c.re_vector(), c.im_vector()])
+    return Fraction(omega(re, im), den * den)
 
 
 def period_group(c: CohomologyClass) -> PlanarLattice:
@@ -329,11 +335,15 @@ def hodge_riemann_check(taus) -> bool:
 
 
 def isotropy_check(a: CohomologyClass, b: CohomologyClass) -> bool:
-    """omega(a, b) = 0, read off its real and imaginary parts."""
+    """omega(a, b) = 0, read off its real and imaginary parts, on the four
+    rows cleared with one common denominator, which scales every pairing
+    by the same positive factor."""
+    from .intlinalg import clear_denominators
     from .symplectic_lattice import omega
     if a.genus != b.genus:
         raise DomainError("classes live on surfaces of different genus")
-    are, aim, bre, bim = a.re_vector(), a.im_vector(), b.re_vector(), b.im_vector()
+    (are, aim, bre, bim), _ = clear_denominators(
+        [a.re_vector(), a.im_vector(), b.re_vector(), b.im_vector()])
     return omega(are, bre) == omega(aim, bim) and omega(are, bim) == -omega(aim, bre)
 
 

@@ -45,7 +45,12 @@ def is_indivisible(v) -> bool:
 
 class Sublattice:
     """A finite-rank sublattice of Z^(2g) with the standard form, given by
-    generator vectors; genus defaults to half the vector length."""
+    generator vectors; genus defaults to half the vector length.
+
+    The generators must be independent.  Rows in echelon form, with no zero
+    row and leading columns strictly increasing, are independent by their
+    shape, so only other inputs pay for a Bareiss rank.
+    """
 
     def __init__(self, vectors, genus=None):
         vectors = [tuple(int(x) for x in v) for v in vectors]
@@ -62,7 +67,7 @@ class Sublattice:
             raise DomainError("genus must be at least 1")
         if 2 * genus != n:
             raise DomainError("generators do not match the ambient dimension")
-        if integer_rank(vectors) != len(vectors):
+        if not _is_echelon(vectors) and integer_rank(vectors) != len(vectors):
             raise DomainError("generators are linearly dependent")
         self.genus = genus
         self.vectors = vectors
@@ -80,7 +85,7 @@ class Sublattice:
 
     def gram_matrix(self):
         vs = self.vectors
-        return [[omega(u, v) for v in vs] for u in vs]
+        return mat_mul(vs, _j_times(transpose(vs)))
 
     def contains(self, v) -> bool:
         if len(v) != 2 * self.genus:
@@ -95,6 +100,17 @@ class Sublattice:
         return "Sublattice(genus=%d, rank=%d)" % (self.genus, self.rank)
 
 
+def _is_echelon(rows) -> bool:
+    """True when no row is zero and the leading columns strictly increase."""
+    lead = -1
+    for row in rows:
+        k = next((k for k, x in enumerate(row) if x), None)
+        if k is None or k <= lead:
+            return False
+        lead = k
+    return True
+
+
 def saturate(lattice: Sublattice) -> Sublattice:
     """Smallest sublattice containing the input with torsion-free quotient."""
     sat = saturate_rows(list(map(list, lattice.vectors)), 2 * lattice.genus)
@@ -106,7 +122,10 @@ def is_complete(lattice: Sublattice) -> bool:
 
     That holds exactly when the maximal minors of the generators have gcd 1,
     that is, when their columns span Z^rank, so one Hermite form of the
-    transpose decides it.
+    transpose decides it.  The Sp(2g, Z) maps do not call it on inputs
+    they can reduce: the refusals of _reduce_pair decide completeness
+    there, and a map asks this test only after a reduction has refused,
+    to name the cause.
     """
     return mat_eq(row_hnf(transpose(lattice.vectors)), identity(lattice.rank))
 
@@ -387,8 +406,8 @@ def _reduce_pair(a, lo: int, x, y, d: int):
     """Row operations on rows lo.. of a, the 2g x 2g reduction so far, after
     which a takes span(x, y) onto the canonical lattice of d in the
     coordinates from lo on, with basis e0, f0, e1, f1, ... there.  The pair
-    is adapted, omega(x, y) = d > 0, from a complete lattice, and its image
-    under a vanishes before lo.
+    is adapted, omega(x, y) = d > 0, and its image under a vanishes before
+    lo; an incomplete pair is refused.
 
     Follows the quotient construction: the moves of _moves_to_e0 take x to
     e0, and those of the residue of y in the quotient e0-perp / e0, m times
@@ -398,6 +417,15 @@ def _reduce_pair(a, lo: int, x, y, d: int):
     m'*e1 + m*d*f1, m' = m*t; otherwise m' = m.  A shear fixing e0 and
     sending f0 to f0 + w ends it: w = -k*e1 with k = (m' - 1) // d (k = m at
     d = 1), minus m*f1 after the SL2 step, leaves d*f0 + e1 (f0 at d = 1).
+
+    The refusals decide completeness exactly.  An imprimitive x is never in
+    a saturated lattice; once x is at e0, the pair spans a saturated lattice
+    iff the 2 x 2 minors of (e0, y1) have gcd 1, that is gcd(d, m) = 1, with
+    m = 0 when there is no residue.  The result is checked on the images
+    x', y' from column lo on: x' = e0 and y' agrees with c, the second row
+    of _canonical_rank2, past its first entry.  As omega(x', y') = d =
+    omega(e0, c), that holds iff x' = e0 and span(x', y') = span(e0, c),
+    which is stricter than comparing the two lattices.
     """
     xl = mat_vec(a, x)[lo:]
     # explicit checks, so they still run under python -O
@@ -433,8 +461,9 @@ def _reduce_pair(a, lo: int, x, y, d: int):
     a[lo] = [i - w1 * j + w0 * k for i, j, k in zip(a[lo], e1, f1)]
     a[lo + 2] = [i + w0 * j for i, j in zip(e1, f0)]
     a[lo + 3] = [i + w1 * j for i, j in zip(f1, f0)]
-    image = Sublattice([mat_vec(a, x)[lo:], mat_vec(a, y)[lo:]])
-    if not image.same_lattice(_canonical_rank2(d, image.genus)):
+    xl, yl = mat_vec(a, x)[lo:], mat_vec(a, y)[lo:]
+    c = _canonical_rank2(d, len(xl) // 2).vectors[1]
+    if xl[0] != 1 or any(xl[1:]) or yl[1:] != list(c[1:]):
         raise DomainError("canonical reduction failed")
 
 
@@ -448,6 +477,12 @@ def _reduce_to_canonical(lattice: Sublattice) -> SpMatrix:
     A second pair needs that divisor to be 1, so the first lands on
     span(e0, f0) and the second in its complement, where _reduce_pair
     reduces it by operations on rows 2.. only, which fix e0 and f0.
+
+    Completeness is not tested up front: _reduce_pair refuses an incomplete
+    pair.  At rank 4 the first pair is unimodular, so it is complete and
+    splits off the ambient; the lattice is then complete iff its second
+    pair is complete in the complement of e0, f0, which the second call
+    decides.
     """
     g = lattice.genus
     nf = alternating_normal_form(lattice)
@@ -462,8 +497,6 @@ def _reduce_to_canonical(lattice: Sublattice) -> SpMatrix:
         x2, y2 = (mat_vec(a, v) for v in second)
         if any(x2[:2]) or any(y2[:2]):
             raise DomainError("second factor must land in the complement of e0, f0")
-        if not is_complete(Sublattice([x2[2:], y2[2:]], genus=g - 1)):
-            raise DomainError("sublattice not complete")
         _reduce_pair(a, 2, *second, nf.divisors[1])
     return SpMatrix(a)
 
@@ -477,10 +510,15 @@ def _map_sublattice(u: Sublattice, u2: Sublattice, rank: int) -> SpMatrix:
     d2 = determinant(u2)
     if d1 != d2:
         raise DomainError("unequal determinants: %d vs %d" % (d1, d2))
-    if not is_complete(u) or not is_complete(u2):
-        raise DomainError("sublattice not complete")
-    r1 = _reduce_to_canonical(u)
-    r2 = _reduce_to_canonical(u2)
+    # the reductions refuse every incomplete input; only then is the
+    # completeness test run, so that the refusal names the cause
+    try:
+        r1 = _reduce_to_canonical(u)
+        r2 = _reduce_to_canonical(u2)
+    except DomainError:
+        if not is_complete(u) or not is_complete(u2):
+            raise DomainError("sublattice not complete") from None
+        raise
     # SpMatrix revalidates the product and the image is compared explicitly,
     # so both checks still run under python -O
     delta = SpMatrix(r2.inverse().compose(r1).entries)

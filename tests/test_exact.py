@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,19 @@ def test_gaussian_mixed_scalars():
     assert a * Fraction(1, 2) == qi(Fraction(1, 2), 1)
     assert a + 1 == qi(2, 2)
     assert 1 - a == qi(0, -2)
+
+
+def test_gaussian_keeps_a_fraction_part_with_the_same_value_and_hash():
+    rng = random.Random(7)
+    for _ in range(100):
+        re, im = (Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(2))
+        z = GaussianRational(re, im)
+        assert z.re is re and z.im is im
+        # built from fresh parts, as a copy of each Fraction would be
+        fresh = GaussianRational(str(re), str(im))
+        assert z == fresh and hash(z) == hash(fresh) == hash((re, im))
+    mixed = GaussianRational(3, Fraction(1, 2))
+    assert type(mixed.re) is Fraction and mixed == qi(3, Fraction(1, 2))
 
 
 def test_gaussian_parse_roundtrip():

@@ -93,6 +93,33 @@ def test_area_vanishes_iff_parts_dependent():
         assert area(dep) == 0
 
 
+def mixed_class(genus, rng):
+    """Periods with mixed denominators, about a fifth of the parts zero,
+    and now and then a zero real or imaginary part throughout."""
+    def q():
+        if rng.random() < 0.2:
+            return Fraction(0)
+        return Fraction(rng.randint(-20, 20), rng.choice([1, 2, 3, 4, 6, 7, 9, 12, 35]))
+
+    re, im = [q() for _ in range(2 * genus)], [q() for _ in range(2 * genus)]
+    if rng.random() < 0.1:
+        re = [Fraction(0)] * (2 * genus)
+    return CohomologyClass(genus, [GaussianRational(x, y) for x, y in zip(re, im)])
+
+
+def test_area_is_the_rational_pairing():
+    rng = random.Random(83)
+    signs = set()
+    for _ in range(300):
+        c = mixed_class(rng.randint(2, 5), rng)
+        # the oracle: the pairing in Fraction arithmetic
+        expected = omega(c.re_vector(), c.im_vector())
+        got = area(c)
+        assert type(got) is Fraction and got == expected
+        signs.add((expected > 0) - (expected < 0))
+    assert signs == {-1, 0, 1}
+
+
 def test_period_group_reduced_bases():
     pg = period_group(cls(2, 1, (0, 1), 0, 0))
     assert pg.rank == 2
@@ -435,6 +462,32 @@ def test_isotropy_matches_the_gaussian_pairing():
         assert isotropy_check(a, b) == expected
         seen.add(expected)
     assert seen == {True, False}
+
+
+def test_isotropy_is_the_rational_pairing():
+    # isotropic partners: a real rational multiple of a, i a, and a class on
+    # the other coordinate pairs; otherwise any class
+    rng = random.Random(89)
+    seen = set()
+    for _ in range(300):
+        genus = rng.randint(2, 5)
+        a = mixed_class(genus, rng)
+        kind = rng.randrange(4)
+        if kind == 0:
+            lam = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            b = CohomologyClass(genus, [p * lam for p in a.periods])
+        elif kind == 1:
+            b = CohomologyClass(genus, [GaussianRational(-p.im, p.re) for p in a.periods])
+        elif kind == 2:
+            a = CohomologyClass(genus, a.periods[:2] + (GaussianRational(0),) * (2 * genus - 2))
+            b = CohomologyClass(genus, (GaussianRational(0),) * 2 + mixed_class(genus, rng).periods[2:])
+        else:
+            b = mixed_class(genus, rng)
+        are, aim, bre, bim = a.re_vector(), a.im_vector(), b.re_vector(), b.im_vector()
+        expected = omega(are, bre) == omega(aim, bim) and omega(are, bim) == -omega(aim, bre)
+        assert isotropy_check(a, b) == expected
+        seen.add((kind, expected))
+    assert seen == {(0, True), (1, True), (2, True), (3, False)}
 
 
 def test_isotropy_examples():

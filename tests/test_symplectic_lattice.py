@@ -676,6 +676,72 @@ def test_sublattice_rejects_dependent_generators():
     assert Sublattice([[big, 1, 0, 0], [0, big, 1, 0], [big, 1 + big, 2, 0]]).rank == 3
 
 
+def shaped_rows(rng, shape, n):
+    """Integer rows of width n: echelon, echelon with a zero row, echelon
+    with a repeated leading column, one row a combination of the others,
+    or any rows; all but the echelon ones shuffled."""
+    if shape in ("dependent", "any"):
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n))]
+        if shape == "dependent":
+            coeffs = [rng.randint(-2, 2) for _ in rows]
+            rows.append([sum(c * r[i] for c, r in zip(coeffs, rows)) for i in range(n)])
+    else:
+        k = rng.randint(2 if shape == "repeated lead" else 1, n)
+        leads = sorted(rng.sample(range(n), k))
+        if shape == "repeated lead":
+            j = rng.randrange(1, k)
+            leads[j] = leads[j - 1]
+        rows = [[0] * p + [rng.choice([-3, -2, -1, 1, 2, 3])]
+                + [rng.randint(-3, 3) for _ in range(n - p - 1)] for p in leads]
+        if shape == "zero row":
+            rows.insert(rng.randint(0, k), [0] * n)
+    if shape != "echelon":
+        rng.shuffle(rows)
+    return rows
+
+
+def test_sublattice_accepts_exactly_the_independent_rows(monkeypatch):
+    ranks = []
+    real = symplectic_lattice.integer_rank
+
+    def counted(rows):
+        ranks.append(rows)
+        return real(rows)
+    monkeypatch.setattr(symplectic_lattice, "integer_rank", counted)
+    rng = random.Random(59)
+    seen = set()
+    for shape in ("echelon", "zero row", "repeated lead", "dependent", "any"):
+        for _ in range(80):
+            rows = shaped_rows(rng, shape, 2 * rng.randint(1, 4))
+            independent = integer_rank(rows) == len(rows)
+            ranks.clear()
+            try:
+                lattice = Sublattice(rows)
+            except DomainError as refusal:
+                assert str(refusal) == "generators are linearly dependent"
+                assert not independent
+            else:
+                assert independent and lattice.rank == len(rows)
+            # the echelon shape alone proves independence
+            leads = [next((k for k, x in enumerate(r) if x), len(r)) for r in rows]
+            echelon = leads == sorted(set(leads)) and leads[-1] < len(rows[0])
+            assert (ranks == []) == echelon
+            assert echelon or shape != "echelon"
+            seen.add((shape, independent))
+    assert seen == {("echelon", True), ("zero row", False), ("repeated lead", True),
+                    ("repeated lead", False), ("dependent", False), ("any", True), ("any", False)}
+
+
+def test_gram_matrix_is_the_matrix_of_pairings():
+    rng = random.Random(61)
+    for _ in range(50):
+        n = 2 * rng.randint(1, 5)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(rng.randint(1, n))]
+        if integer_rank(rows) == len(rows):
+            lattice = Sublattice(rows)
+            assert lattice.gram_matrix() == [[omega(u, v) for v in rows] for u in rows]
+
+
 def test_contains_rejects_wrong_length():
     lat = Sublattice([[1, 0, 0, 0], [0, 1, 0, 0]])
     assert lat.contains([3, -2, 0, 0])
@@ -943,7 +1009,7 @@ def test_each_map_makes_three_sp_checks(monkeypatch):
     [[1, 0, 0, 0], [0, 2, 2, 0]],
 ])
 def test_reduction_refuses_an_incomplete_pair(vectors):
-    # the maps test completeness first, so only a direct call reaches these
+    # the reduction's own refusals, which the maps rely on for completeness
     lattice = Sublattice(vectors)
     assert not is_complete(lattice)
     with pytest.raises(DomainError, match="sublattice not complete"):
@@ -968,6 +1034,113 @@ def test_canonical_reduction_is_checked(monkeypatch):
     u = Sublattice([[1, 0, 0, 0], [0, 2, 1, 0]])
     with pytest.raises(DomainError, match="canonical reduction failed"):
         map_rank2_sublattice(u, u)
+
+
+def canonical_pair(d, genus):
+    """Oracle rows of the canonical lattice of d: e0, and f0 at d = 1,
+    else d f0 + e1."""
+    n = 2 * genus
+    e0, c = [0] * n, [0] * n
+    e0[0], c[1] = 1, d
+    if d > 1:
+        c[2] = 1
+    return e0, c
+
+
+def test_reduced_pairs_land_on_e0_with_a_free_e0_coefficient():
+    # the images x', y' of each adapted pair, from the pair's first column
+    # on, are e0 and y' = k e0 + c for some integer k, which need not be 0
+    rng = random.Random(271)
+    lattices = [random_complete_rank2(rng.randint(2, 5), rng.randint(1, 12), rng) for _ in range(30)]
+    lattices += [random_complete_rank4(rng.randint(3, 5), rng.randint(1, 10), rng) for _ in range(15)]
+    coefficients = []
+    for lattice in lattices:
+        r = symplectic_lattice._reduce_to_canonical(lattice)
+        nf = alternating_normal_form(lattice)
+        vectors = nf.basis.vectors
+        for lo, d in zip((0, 2), nf.divisors):
+            x, y = (r.apply(v) for v in vectors[lo : lo + 2])
+            assert not any(x[:lo]) and not any(y[:lo])
+            e0, c = canonical_pair(d, lattice.genus - lo // 2)
+            assert x[lo:] == e0
+            assert y[lo + 1 :] == c[1:]
+            coefficients.append(y[lo])
+    assert any(coefficients)
+
+
+def test_a_reduction_off_e0_onto_the_canonical_lattice_is_refused(monkeypatch):
+    # report x' + y' as the image of x: span(x' + y', y') is still the
+    # canonical lattice, so comparing lattices would accept it, but x' is
+    # no longer e0.  _reduce_pair takes the images of x, y, then of x after
+    # the moves, and at its end of x and of y: five calls in all
+    real, calls = symplectic_lattice.mat_vec, []
+
+    def images(a, v):
+        calls.append(v)
+        out = real(a, v)
+        if len(calls) == 4:
+            out = [p + q for p, q in zip(out, real(a, calls[2]))]
+        return out
+    lattice = Sublattice([[1, 0, 0, 0], [0, 2, 1, 0]])
+    x, y = alternating_normal_form(lattice).basis.vectors
+    r = symplectic_lattice._reduce_to_canonical(lattice)
+    moved_x, moved_y = r.apply(x), r.apply(y)
+    shifted = [p + q for p, q in zip(moved_x, moved_y)]
+    assert shifted != list(canonical_pair(2, 2)[0])
+    assert row_hnf([shifted, moved_y]) == row_hnf(list(canonical_pair(2, 2)))
+    monkeypatch.setattr(symplectic_lattice, "mat_vec", images)
+    with pytest.raises(DomainError, match="canonical reduction failed"):
+        symplectic_lattice._reduce_to_canonical(lattice)
+    assert len(calls) == 5
+
+
+def incomplete_map_inputs():
+    """Each incomplete input of the maps pin family with a complete partner
+    of the same determinant, at genus 3: a residue missing beside d = 2, an
+    imprimitive adapted vector, a second pair of divisor 4 with no residue,
+    and first divisor 2."""
+    e0, f0, e1, f1 = ([int(i == k) for i in range(6)] for k in range(4))
+    rank2, rank4 = [e0, [0, 2, 1, 0, 0, 0]], [e0, f0, e1, [0, 0, 0, 4, 1, 0]]
+    return [
+        (map_rank2_sublattice, [e0, [2 * x for x in f0]], rank2),
+        (map_rank2_sublattice, [[2 * x for x in e0], f0], rank2),
+        (map_rank4_sublattice, [e0, f0, e1, [4 * x for x in f1]], rank4),
+        (map_rank4_sublattice, [[2 * x for x in e0], f0, [2 * x for x in e1], f1], rank4),
+    ]
+
+
+@pytest.mark.parametrize("mapper, incomplete, complete", incomplete_map_inputs())
+def test_maps_refuse_incomplete_input_on_either_side(mapper, incomplete, complete):
+    bad, good = Sublattice(incomplete), Sublattice(complete)
+    assert not is_complete(bad) and is_complete(good)
+    assert determinant(bad) == determinant(good)
+    for u, u2 in ((bad, good), (good, bad), (bad, bad)):
+        with pytest.raises(DomainError) as refusal:
+            mapper(u, u2)
+        assert str(refusal.value) == "sublattice not complete"
+
+
+def test_maps_of_complete_input_never_test_completeness(monkeypatch):
+    calls = []
+    real = symplectic_lattice.is_complete
+
+    def counted(lattice):
+        calls.append(lattice)
+        return real(lattice)
+    monkeypatch.setattr(symplectic_lattice, "is_complete", counted)
+    rng = random.Random(313)
+    for k in range(50):
+        if k % 2:
+            g, d = rng.randint(3, 5), rng.randint(1, 10)
+            u, u2 = random_complete_rank4(g, d, rng), random_complete_rank4(g, d, rng)
+            mapper = map_rank4_sublattice
+        else:
+            g = rng.randint(1, 6)
+            d = 1 if g == 1 else rng.randint(1, 15)
+            u, u2 = random_complete_rank2(g, d, rng), random_complete_rank2(g, d, rng)
+            mapper = map_rank2_sublattice
+        assert mapper(u, u2).apply_lattice(u).same_lattice(u2)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
