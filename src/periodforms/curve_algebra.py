@@ -133,6 +133,9 @@ def _partials_meet_only_at_origin(form):
     # By Euler's identity the common zeros are the singular points, and the
     # rank over Q is the rank over C, so each partial enters by its integer
     # numerators: a positive factor per block of rows changes no rank.
+    # integer_rank proves a smooth quartic's rank by a 36 x 36 minor that is
+    # nonzero modulo a prime, and a singular one's by its kernel, lifted and
+    # checked exactly over Z.
     column = {m: n for n, m in enumerate(ternary_monomials(7))}
     rows = []
     for v in range(3):

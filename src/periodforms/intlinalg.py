@@ -3,18 +3,22 @@
 Lattices are handled as lists of generator vectors (rows).  All integer
 routines use arbitrary-precision ints: Hermite forms come from one core,
 the saturation is one exact triangular solve between two Hermite forms,
-and the rank over Z or Q, the integer determinant and the rational kernel
-and solve come from one forward fraction-free (Bareiss) elimination, which
-rescales a row only when it is next used; the kernel is read off its
-echelon rows by exact back substitution, and Fractions appear only in the
-kernel and solve results.  No floating point anywhere.
+and the integer determinant and the rational kernel and solve come from
+one forward fraction-free (Bareiss) elimination, which rescales a row only
+when it is next used; the kernel is read off its echelon rows by exact
+back substitution, and Fractions appear only in the kernel and solve
+results.  The rank over Z or Q is one elimination modulo the prime
+2^31 - 1 on rows packed into single ints, certified by a minor that is
+nonzero mod p or by a kernel checked exactly over Z, with Bareiss only
+when neither holds.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
+from struct import Struct
 
 from .errors import DomainError
 
@@ -151,9 +155,140 @@ def saturate_rows(rows, width=None):
 # elimination
 
 
+# The Mersenne prime of integer_rank, and the bound on the numerators and
+# denominators that its kernel lifts reconstruct: 2 _LIFT^2 < _P, so a
+# lift is unique when it exists.
+_P = (1 << 31) - 1
+_LIFT = isqrt(_P // 2)
+
+
 def integer_rank(rows):
-    """Rank of an integer matrix by Bareiss fraction-free elimination."""
+    """Rank of an m x n integer matrix, certified in each direction.
+
+    One forward elimination modulo the Mersenne prime p = 2^31 - 1 on
+    packed rows (see _echelon_mod_p) finds r pivots.  A row takes at most
+    one row operation per pivot, at most min(m, n), so slots
+    w = 8 ceil((63 + bit_length(min(m, n))) / 8) bits wide never overflow.
+
+    - Lower bound: the pivot rows and columns give an r x r minor that is
+      nonzero mod p, so it is nonzero over Z and the rank is at least r.
+      When r = min(m, n) that is the answer; the elimination stops there.
+    - Upper bound: otherwise the n - r kernel vectors mod p, each 1 at its
+      free column and 0 at the other free columns, are lifted by rational
+      reconstruction, their denominators cleared, and M k = 0 is checked
+      exactly in integers (see _kernel_certifies).  They are independent
+      by their free columns, so the rank is at most r.
+
+    When a lift or a check fails, the rank is the exact Bareiss rank of the
+    rows.  Every check is an explicit if, so it still runs under python -O.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    if not (m and n):
+        return 0
+    width = (70 + min(m, n).bit_length()) // 8
+    codec = Struct("<" + "Q%dx" % (width - 8) * n)
+    pivots, echelon = _echelon_mod_p(rows, codec, 8 * width)
+    if len(pivots) == min(m, n) or _kernel_certifies(rows, pivots, echelon, codec):
+        return len(pivots)
     return len(_bareiss(rows)[1])
+
+
+def _echelon_mod_p(a, codec, w):
+    """Forward elimination of the integer rows a modulo _P on packed rows:
+    (pivot columns, echelon rows).
+
+    Each row is one int of n slots, w bits each, holding nonnegative
+    representatives of its entries mod p, so a row operation is one
+    multiply-add of two ints, row + f * top with f < p, and reading a slot
+    is a mask and a % p.  Once column c is eliminated every live row is
+    shifted right by w, so slot 0 always holds the current column, and
+    each echelon row is kept with slot 0 at its pivot column.
+
+    A pivot row is folded slot by slot before use: 2^31 = 1 mod p, so a
+    slot lo + 2^31 hi becomes lo + hi, and two folds bring a slot below 2^w
+    under 2^32 while w <= 93.  One operation then adds below
+    2^31 * 2^32 = 2^63 to a slot, and a row takes at most one per pivot,
+    at most K = min(m, n), so its slots stay below
+    p + K 2^63 < 2^(63 + bit_length(K)) <= 2^w: no slot overflows into the
+    next.  The w of integer_rank is at most 88 for K < 2^25, that is for
+    any matrix that fits in memory.
+    """
+    n = len(a[0])
+    mask = (1 << w) - 1
+    unit = ((1 << w * n) - 1) // mask
+    low, high = _P * unit, ((1 << w - 31) - 1) * unit
+    live = [int.from_bytes(codec.pack(*[x % _P for x in row]), "little") for row in a]
+    pivots, echelon = [], []
+    for c in range(n):
+        res = [(row & mask) % _P for row in live]
+        for k, x in enumerate(res):
+            if x:
+                break
+        else:
+            live = [row >> w for row in live]
+            continue
+        del res[k]
+        top = live.pop(k)
+        top = (top & low) + (top >> 31 & high)
+        top = (top & low) + (top >> 31 & high)
+        neg = _P - pow(x, -1, _P)
+        pivots.append(c)
+        echelon.append(top)
+        if len(pivots) == n or not live:
+            break
+        live = [(row + x * neg % _P * top if x else row) >> w for row, x in zip(live, res)]
+    return pivots, echelon
+
+
+def _kernel_certifies(a, pivots, echelon, codec):
+    """Whether the kernel of the rows a mod p lifts to integer vectors k
+    with a k = 0, one for each column that is not in pivots.
+
+    The echelon rows of _echelon_mod_p are unpacked once; their slots are
+    below 2^32, so each is read whole.  The vector that is 1 at the free
+    column fc and 0 at the other free columns has, by back substitution,
+        x[p_i] = -(row_i[fc] + sum over j > i of row_i[p_j] x[p_j]) / row_i[p_i]
+    mod p at the pivot columns p_i.  Each entry is lifted by rational
+    reconstruction (see _lift), the denominators are cleared, and a k = 0
+    is checked in integers.
+    """
+    n, r = len(a[0]), len(pivots)
+    rows = [codec.unpack(row.to_bytes(codec.size, "little")) for row in echelon]
+    inverse = [pow(row[0], -1, _P) for row in rows]
+    coef = [[row[pj - pc] for pj in pivots[i + 1:]] for i, (row, pc) in enumerate(zip(rows, pivots))]
+    for fc in (c for c in range(n) if c not in pivots):
+        x = [0] * r
+        for i in range(r - 1, -1, -1):
+            pc = pivots[i]
+            head = rows[i][fc - pc] if fc > pc else 0
+            x[i] = -(head + sum(map(mul, coef[i], x[i + 1:]))) * inverse[i] % _P
+        lifts = [_lift(v) for v in x]
+        if None in lifts:
+            return False
+        den = lcm(*(d for _, d in lifts))
+        k = [0] * n
+        k[fc] = den
+        for pc, (num, d) in zip(pivots, lifts):
+            k[pc] = num * (den // d)
+        if any(sum(map(mul, row, k)) for row in a):
+            return False
+    return True
+
+
+def _lift(x):
+    """(num, den) with |num|, den <= _LIFT and num = x den mod p, or None
+    if no such fraction exists: rational reconstruction by the half
+    extended Euclidean algorithm (Wang, Guy and Davenport, 1982).  Each
+    step keeps r = t x mod p, and the first remainder r <= _LIFT is the
+    only candidate."""
+    r0, r1, t0, t1 = _P, x, 0, 1
+    while r1 > _LIFT:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > _LIFT:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
 def rational_rank(rows):
