@@ -49,7 +49,7 @@ class Sublattice:
 
     The generators must be independent.  Rows in echelon form, with no zero
     row and leading columns strictly increasing, are independent by their
-    shape, so only other inputs pay for a Bareiss rank.
+    shape, so only other inputs pay for the certified integer_rank.
     """
 
     def __init__(self, vectors, genus=None):

@@ -460,8 +460,53 @@ def integer_matrices(draw):
     return draw(st.permutations(rows))
 
 
+@st.composite
+def macaulay_matrices(draw):
+    """The 45 x 36 Macaulay matrix of the partials of a random quartic,
+    cleared of denominators: sparse quartics are often singular, so the
+    rank falls short of 36 and rows are left below the last pivot."""
+    value = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-9, 9),
+                      st.builds(Fraction, st.integers(-999, 999), st.integers(1, 99)))
+    return macaulay_rows(TernaryForm(4, {m: draw(value) for m in ternary_monomials(4)}))
+
+
+def macaulay_rows(form):
+    """The rows (partial times degree-4 monomial) over the 36 septic
+    monomials, the partials cleared of denominators."""
+    partials = [form.partial(v).coeffs for v in range(3)]
+    values, _ = clear_denominators([[c for _, c in p] for p in partials])
+    column = {m: k for k, m in enumerate(ternary_monomials(7))}
+    rows = []
+    for partial, ints in zip(partials, values):
+        for i, j, k in ternary_monomials(4):
+            row = [0] * len(column)
+            for ((a, b, d), _), c in zip(partial, ints):
+                row[column[(a + i, b + j, d + k)]] = c
+            rows.append(row)
+    return rows
+
+
+P = (1 << 31) - 1  # the prime of integer_rank's modular elimination
+
+
+@st.composite
+def shaped_matrices(draw):
+    """Tall and wide integer matrices up to 12 x 12, drawn entry by entry
+    or as a product of an m x k and a k x n factor, so of rank at most k;
+    entries small, up to 2^200, or multiples of 2^31 - 1."""
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(2**200), 2**200),
+                      st.integers(-3, 3).map(lambda k: k * P))
+    if draw(st.booleans()):
+        return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    k = draw(st.integers(1, min(m, n)))
+    left = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=m, max_size=m))
+    right = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    return mat_mul(left, right)
+
+
 @settings(max_examples=300, deadline=None)
-@given(integer_matrices(), st.integers(1, 12))
+@given(st.one_of(integer_matrices(), shaped_matrices(), macaulay_matrices()), st.integers(1, 12))
 def test_integer_rank_matches_rational_rank(rows, den):
     oracle = len(fraction_gauss_jordan(rows)[1])
     assert integer_rank(rows) == rational_rank(rows) == oracle
@@ -484,6 +529,108 @@ def test_integer_rank_small_cases():
     # the first column is zero below the top row, so the second pivot is
     # found one column to the right
     assert integer_rank([[2, 1, 0], [0, 0, 3], [0, 0, 6]]) == 2
+
+
+def fermat_with_the_x7_row_scaled_by_p():
+    """The Macaulay matrix of x^4 + y^4 + z^4 with its one row that
+    reaches x^7, 4 x^3 times x^4, scaled by p: rank 36 over Q, 35 mod p."""
+    rows = macaulay_rows(TernaryForm(4, {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1}))
+    column = ternary_monomials(7).index((7, 0, 0))
+    (i,) = [i for i, row in enumerate(rows) if row[column]]
+    rows[i] = [P * x for x in rows[i]]
+    return rows
+
+
+def quartic_in_lines(table, lines):
+    """The quartic sum of c L1^i L2^j L3^k over the entries (i, j, k): c
+    of the table, for three lines L."""
+    forms = [TernaryForm.linear(*line) for line in lines]
+    out = TernaryForm(4, {})
+    for exponents, c in table.items():
+        term = TernaryForm(0, {(0, 0, 0): c})
+        for form, e in zip(forms, exponents):
+            for _ in range(e):
+                term = term * form
+        out = out + term
+    return out
+
+
+def seeded_quartics(seed, count):
+    """(smooth, singular) Macaulay matrices: a L1^4 + b L2^4 + c L3^4, and
+    a quartic with no monomial of z-degree 3 or 4 in (L1, L2, L3), which is
+    singular at the rational point L1 = L2 = 0.  The lines are independent
+    with entries in -1..1, so that point has coordinates of at most 2: its
+    kernel vectors, the values of the septic monomials there over one of
+    them, lift from p.  (With entries up to 2, coordinates up to 8 give
+    values up to 8^7, past the lift bound, and some fall back to Bareiss.)"""
+    rng = random.Random(seed)
+    smooth, singular = [], []
+    while len(singular) < count:
+        lines = random_matrix(rng, 3, 3, 1)
+        if not reference_det(lines):
+            continue
+        diagonal = {(4, 0, 0): rng.choice([1, 2, -1]), (0, 4, 0): rng.choice([1, 3, -2]),
+                    (0, 0, 4): rng.choice([1, -1, 5])}
+        cone = {m: rng.randint(-3, 3) for m in ternary_monomials(4) if m[2] < 3}
+        cone[(4, 0, 0)] = 1
+        smooth.append(macaulay_rows(quartic_in_lines(diagonal, lines)))
+        singular.append(macaulay_rows(quartic_in_lines(cone, lines)))
+    return smooth, singular
+
+
+def test_bareiss_runs_exactly_when_no_certificate_holds(monkeypatch):
+    calls = []
+    real = intlinalg._bareiss
+
+    def counted(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(intlinalg, "_bareiss", counted)
+    adversarial = [
+        # full rank over Q, not mod p: the lifted kernel fails the check
+        [[P, 0], [0, 1]],
+        [[1, 1], [1, 1 + P]],
+        [[3 * P, 5 * P]],
+        fermat_with_the_x7_row_scaled_by_p(),
+        # the kernel (40000, 1) has no lift with |num|, den <= 32767
+        [[1, -40000], [2, -80000]],
+        # rank 1 over Q, the kernel (p + 5, 1) lifts to (5, 1) and fails
+        [[1, -(P + 5)], [2, -2 * (P + 5)]],
+    ]
+    for rows in adversarial:
+        del calls[:]
+        assert integer_rank(rows) == len(fraction_gauss_jordan(rows)[1])
+        assert len(calls) == 1
+    smooth, singular = seeded_quartics(28, 12)
+    del calls[:]
+    assert [integer_rank(rows) for rows in smooth] == [36] * len(smooth)
+    assert calls == []
+    for rows in singular:
+        assert integer_rank(rows) == len(fraction_gauss_jordan(rows)[1]) < 36
+    # singular only at (1 : +-i : 0), and only at (0 : 1 : +-i): no
+    # rational point gives the kernel, of dimension 2 and 6, and it still
+    # lifts from p and passes the check over Z
+    for table, corank in (
+        ({(4, 0, 0): 1, (2, 2, 0): 2, (0, 4, 0): 1, (2, 0, 2): 1, (0, 0, 4): 1}, 2),
+        ({(4, 0, 0): 2, (0, 4, 0): 1, (0, 0, 4): 1, (2, 2, 0): 2, (2, 0, 2): 2, (0, 2, 2): 2}, 6),
+    ):
+        rows = macaulay_rows(TernaryForm(4, table))
+        assert integer_rank(rows) == len(fraction_gauss_jordan(rows)[1]) == 36 - corank
+    assert calls == []
+
+
+def test_rational_reconstruction_recovers_small_fractions():
+    rng = random.Random(5)
+    bound = intlinalg._LIFT
+    assert 2 * bound * bound < P < 2 * (bound + 1) ** 2
+    for _ in range(300):
+        num, den = rng.randint(-bound, bound), rng.randint(1, bound)
+        f = Fraction(num, den)
+        assert intlinalg._lift(num * pow(den, -1, P) % P) == (f.numerator, f.denominator)
+    assert intlinalg._lift(0) == (0, 1)
+    assert intlinalg._lift(P - 1) == (-1, 1)
+    assert intlinalg._lift(40000) is None
 
 
 @st.composite
@@ -579,27 +726,6 @@ def eager_bareiss(rows):
         prev = p
         pivots.append(c)
     return a, pivots, prev
-
-
-@st.composite
-def macaulay_matrices(draw):
-    """The 45 x 36 Macaulay matrix of the partials of a random quartic,
-    cleared of denominators: sparse quartics are often singular, so the
-    rank falls short of 36 and rows are left below the last pivot."""
-    value = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-9, 9),
-                      st.builds(Fraction, st.integers(-999, 999), st.integers(1, 99)))
-    form = TernaryForm(4, {m: draw(value) for m in ternary_monomials(4)})
-    partials = [form.partial(v).coeffs for v in range(3)]
-    values, _ = clear_denominators([[c for _, c in p] for p in partials])
-    column = {m: k for k, m in enumerate(ternary_monomials(7))}
-    rows = []
-    for partial, ints in zip(partials, values):
-        for i, j, k in ternary_monomials(4):
-            row = [0] * len(column)
-            for ((a, b, d), _), c in zip(partial, ints):
-                row[column[(a + i, b + j, d + k)]] = c
-            rows.append(row)
-    return rows
 
 
 @settings(max_examples=200, deadline=None)
