@@ -36,7 +36,12 @@ _EXPORTS = {
     "QuadDifferential": "curve_algebra",
     "TauSubspace": "curve_algebra",
     "classify": "curve_algebra",
+    "dividend_dim": "curve_algebra",
+    "isoperiodic_deformation_dim": "curve_algebra",
+    "multiplication_rank": "curve_algebra",
+    "noether_image_dim": "curve_algebra",
     "obscurant_dim": "curve_algebra",
+    "obscurant_kernel": "curve_algebra",
     "overlap_degree": "curve_algebra",
     "quartic_cross_ratio": "curve_algebra",
     "residues_of_quotient": "curve_algebra",
@@ -45,6 +50,7 @@ _EXPORTS = {
     "FormatError": "errors",
     "GaussianRational": "exact",
     "QuadraticNumber": "exact",
+    "Polynomial": "polynomials",
     "CohomologyClass": "realizability",
     "PlanarLattice": "realizability",
     "is_realizable_elliptic_pair": "realizability",

@@ -79,9 +79,6 @@ class Permutation:
                 x = self.images[x]
         return count
 
-    def to_list(self):
-        return list(self.images)
-
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
 

@@ -59,9 +59,6 @@ class HyperellipticCurve:
     def __setattr__(self, name, value):
         raise AttributeError("HyperellipticCurve is immutable")
 
-    def points_at_infinity(self):
-        return 2 if self.f.degree % 2 == 0 else 1
-
     def __eq__(self, other):
         if not isinstance(other, HyperellipticCurve):
             return NotImplemented
@@ -369,25 +366,6 @@ def overlap_degree(alpha: Differential, beta: Differential) -> int:
     if alpha.curve != beta.curve:
         raise DomainError("differentials must lie on one curve")
     return 2 * _excess([alpha.p, beta.p], alpha.curve.genus - 1)
-
-
-def veronese_linked_pair(curve: HyperellipticCurve, a, b, d) -> TauSubspace:
-    """The pair (x-a)(x-b) dx/y, (x-a)(x-d) dx/y on a genus-three curve.
-
-    The two forms divide both products of the pair and the product with
-    the complementary chord, so the pair is linked with overlap two.
-    """
-    if not isinstance(curve, HyperellipticCurve) or curve.genus != 3:
-        raise DomainError("the construction needs a genus-three hyperelliptic curve")
-    a, b, d = Fraction(a), Fraction(b), Fraction(d)
-    if len({a, b, d}) != 3:
-        raise DomainError("parameters must be distinct")
-    for t in (a, b, d):
-        if curve.f(t) == 0:
-            raise DomainError("parameter lies on the branch locus")
-    first = Differential(curve, Polynomial.from_roots([a, b]))
-    second = Differential(curve, Polynomial.from_roots([a, d]))
-    return TauSubspace([first, second])
 
 
 def isoperiodic_deformation_dim(tau: TauSubspace) -> int:

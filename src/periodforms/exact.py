@@ -116,9 +116,8 @@ class QuadraticNumber:
     """A value a + b*sqrt(disc) with rational a, b and rational disc >= 0.
 
     Used for residues at points whose y-coordinate lives in a quadratic
-    extension.  Addition is only defined between values over the same
-    discriminant (or when either summand is rational); sums across
-    different discriminants should be grouped by the caller.
+    extension.  There is no addition: quadratic_sum adds a list of them
+    exactly, grouping the sqrt coefficients by discriminant.
     """
 
     __slots__ = ("a", "b", "disc")
@@ -136,30 +135,6 @@ class QuadraticNumber:
     def __setattr__(self, name, value):
         raise AttributeError("QuadraticNumber is immutable")
 
-    def is_rational(self):
-        return self.b == 0
-
-    def is_zero(self):
-        return self.a == 0 and self.b == 0
-
-    def conjugate(self):
-        return QuadraticNumber(self.a, -self.b, self.disc)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QuadraticNumber(other)
-        if not isinstance(other, QuadraticNumber):
-            return NotImplemented
-        if self.is_rational():
-            return QuadraticNumber(self.a + other.a, other.b, other.disc)
-        if other.is_rational():
-            return QuadraticNumber(self.a + other.a, self.b, self.disc)
-        if self.disc != other.disc:
-            raise DomainError("cannot add values over different discriminants")
-        return QuadraticNumber(self.a + other.a, self.b + other.b, self.disc)
-
-    __radd__ = __add__
-
     def scale(self, c) -> "QuadraticNumber":
         c = Fraction(c)
         return QuadraticNumber(self.a * c, self.b * c, self.disc)
@@ -170,7 +145,7 @@ class QuadraticNumber:
         return float(self.a) + float(self.b) * math.sqrt(float(self.disc))
 
     def __repr__(self):
-        if self.is_rational():
+        if self.b == 0:
             return "QuadraticNumber(%s)" % (self.a,)
         return "QuadraticNumber(%s + %s*sqrt(%s))" % (self.a, self.b, self.disc)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .errors import DomainError
 
@@ -143,11 +143,6 @@ class Polynomial:
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
-    def monic(self):
-        if self.is_zero():
-            return self
-        return Polynomial._make(self.num, self.num[-1])
-
     def gcd(self, other):
         """The monic gcd; the zero polynomial when both are zero."""
         h = _integer_gcd(self.num, _lift(other).num)
@@ -180,26 +175,6 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def rational_roots(self):
-        """All rational roots with multiplicities, sorted by the root.
-
-        The total multiplicity may be less than the degree when some
-        roots are irrational; the caller decides whether that matters.
-        sq = self / gcd(self, self') has the same roots, all simple, and
-        _simple_rational_roots finds them.
-        """
-        if self.is_zero():
-            raise DomainError("the zero polynomial has no root list")
-        found, p = [], self
-        for root in (self // self.gcd(self.derivative()))._simple_rational_roots():
-            mult = 0
-            factor = Polynomial((-root, 1))
-            while p(root) == 0:
-                p = p // factor
-                mult += 1
-            found.append((root, mult))
-        return found
-
     def _simple_rational_roots(self):
         """The rational roots of this nonzero squarefree polynomial, sorted.
 
@@ -217,7 +192,7 @@ class Polynomial:
         bound = a + max(abs(x) for x in c)
         dc = [k * x for k, x in enumerate(c)][1:]
         for q in count(2):
-            if a % q and all(q % d for d in range(2, isqrt(q) + 1)):
+            if a % q and _is_prime(q):
                 residues = [r for r in range(q) if _eval_mod(c, r, q) == 0]
                 if all(_eval_mod(dc, r, q) for r in residues):
                     break

@@ -201,10 +201,6 @@ def period_group(c: CohomologyClass) -> PlanarLattice:
     return PlanarLattice(basis)
 
 
-def covolume(lattice: PlanarLattice) -> Fraction:
-    return lattice.covolume()
-
-
 def _real_span_lattice(classes):
     from .intlinalg import clear_denominators
     from .symplectic_lattice import Sublattice
@@ -272,8 +268,12 @@ def line_verdict_from_floats(genus, periods, tolerance=1e-9) -> RealizabilityVer
     Each period is snapped to the nearest rational with denominator at most
     _MAX_DENOMINATOR; if all of them land within tolerance the exact decision
     runs on the reconstruction.  Otherwise the group is presumed dense and
-    the verdict says so rather than posing as a decision.
+    the verdict says so rather than posing as a decision.  A NaN or
+    negative tolerance is refused: every comparison with NaN is false, so
+    it would pass any snap off as exact.
     """
+    if not tolerance >= 0:
+        raise DomainError("tolerance must be a nonnegative number, got %s" % tolerance)
     if genus < 2:
         raise DomainError("realizability needs genus >= 2, got %d" % genus)
     values = [complex(z) for z in periods]
@@ -452,58 +452,6 @@ def severi_range(det):
     check_output_size(det)
     n = det // 2
     return [(g, n + 1 - g) for g in range(2, n + 2)]
-
-
-def sl2_act(matrix, c: CohomologyClass) -> CohomologyClass:
-    """Act on (Re c, Im c) by a rational 2x2 matrix of determinant one."""
-    (m11, m12), (m21, m22) = matrix
-    m11, m12, m21, m22 = (Fraction(x) for x in (m11, m12, m21, m22))
-    if m11 * m22 - m12 * m21 != 1:
-        raise DomainError("matrix determinant must be 1")
-    re = c.re_vector()
-    im = c.im_vector()
-    periods = [
-        GaussianRational(m11 * x + m12 * y, m21 * x + m22 * y)
-        for x, y in zip(re, im)
-    ]
-    return CohomologyClass(c.genus, periods)
-
-
-def torus_data(taus):
-    """Integral lattice of the real span plus coordinates of each class in it.
-
-    The returned matrix expresses every input class in the basis of the
-    saturated lattice; its rows span a k-dimensional space meeting its
-    conjugate trivially, which is checked.
-    """
-    from .intlinalg import rational_rank, rational_solve
-    from .symplectic_lattice import saturate
-    taus = list(taus)
-    if len(taus) not in (1, 2):
-        raise DomainError("expected 1 or 2 classes, got %d" % len(taus))
-    if not hodge_riemann_check(taus):
-        raise DomainError("classes are not positive")
-    k = len(taus)
-    try:
-        span = _real_span_lattice(taus)
-    except DomainError as exc:
-        raise DomainError(
-            "real span must have rank %d: not an elliptic input" % (2 * k)
-        ) from exc
-    lattice = saturate(span)
-    system = [
-        [lattice.vectors[i][r] for i in range(2 * k)] for r in range(len(taus[0].periods))
-    ]
-    matrix, real_rows = [], []
-    for t in taus:
-        xs = rational_solve(system, t.re_vector())
-        ys = rational_solve(system, t.im_vector())
-        matrix.append([GaussianRational(x, y) for x, y in zip(xs, ys)])
-        real_rows += [xs, ys]
-    # the rows of M and conj M span what Re M and Im M span
-    if rational_rank(real_rows) != 2 * k:
-        raise DomainError("span of the classes meets its conjugate")
-    return lattice, matrix
 
 
 def polyperiod_dimension_gap(g, k) -> int:

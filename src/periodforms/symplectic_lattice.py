@@ -22,7 +22,6 @@ from .intlinalg import (
     mat_mul,
     mat_vec,
     integer_rank,
-    rational_solve,
     row_hnf,
     saturate_rows,
     transpose,
@@ -86,15 +85,6 @@ class Sublattice:
     def gram_matrix(self):
         vs = self.vectors
         return mat_mul(vs, _j_times(transpose(vs)))
-
-    def contains(self, v) -> bool:
-        if len(v) != 2 * self.genus:
-            raise DomainError("vector length does not match the ambient dimension")
-        try:
-            sol = rational_solve(transpose(self.vectors), v)
-        except DomainError:
-            return False
-        return all(c.denominator == 1 for c in sol)
 
     def __repr__(self):
         return "Sublattice(genus=%d, rank=%d)" % (self.genus, self.rank)

@@ -1,12 +1,12 @@
 """Seeded corpus of every library output that goes through rational_kernel
 or rational_solve, of every multiplication-map dimension and verdict, of
 the saturations, lattice invariants and line verdicts behind the periods
-path, of the polynomial gcd, squarefree test and rational roots, of the
-quartic smoothness and cross-ratio verdicts, of the exact residues and
-section values, of the cover invariants and origami genera, of the
-Sp(2g, Z) maps between complete rank-2 and rank-4 sublattices and of the
-floats of the curve queries (cross-ratios, numeric residues and section
-values, form values at float and complex points), pinned by digest.
+path, of the polynomial gcd and squarefree test, of the quartic
+smoothness and cross-ratio verdicts, of the exact residues and section
+values, of the cover invariants and origami genera, of the Sp(2g, Z) maps
+between complete rank-2 and rank-4 sublattices and of the floats of the
+curve queries (cross-ratios, numeric residues and section values, form
+values at float and complex points), pinned by digest.
 
 Each family is a fixed, seeded list of calls.  A call is rendered as one
 line, "<call> -> <output>", with Fractions written p/q, floats by
@@ -65,10 +65,8 @@ from periodforms.intlinalg import clear_denominators, rational_kernel, rational_
 from periodforms.polynomials import Polynomial, TernaryForm, ternary_monomials
 from periodforms.realizability import (
     CohomologyClass,
-    area,
     is_realizable_elliptic_pair,
     is_realizable_line,
-    torus_data,
 )
 from periodforms.symplectic_lattice import (
     Sublattice,
@@ -312,55 +310,6 @@ def pair_witness_calls(rng):
             yield call, outcome(_pair_witness, a, b)
 
 
-def _torus(taus):
-    lattice, matrix = torus_data(taus)
-    return {"lattice": lattice.vectors, "matrix": matrix}
-
-
-def torus_data_calls(rng):
-    for genus in range(2, 5):
-        for _ in range(5):
-            periods = [GaussianRational(rng_fraction(rng, 6, 3), rng_fraction(rng, 6, 3))
-                       for _ in range(2 * genus)]
-            c = CohomologyClass(genus, periods)
-            if area(c) < 0:
-                c = c.conjugate()
-            yield "torus_data(%s)" % render(c.periods), outcome(_torus, [c])
-    for genus in range(2, 5):
-        for _ in range(4):
-            d = 1 if genus == 2 else rng.randint(1, 5)
-            a, b = block_pair(rng, genus, d, rng.choice([1, Fraction(1, 3), GaussianRational(1, 1)]))
-            yield "torus_data(%s, %s)" % (render(a.periods), render(b.periods)), outcome(
-                _torus, [a, b])
-
-
-def contains_calls(rng):
-    """Members, half-integer points of the rational span and points off the
-    span, against lattices of rank 1-4 in genus 2-4."""
-    for _ in range(30):
-        genus = rng.randint(2, 4)
-        n = 2 * genus
-        rank = rng.randint(1, min(4, n))
-        while True:
-            vectors = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rank)]
-            try:
-                lattice = Sublattice(vectors, genus=genus)
-                break
-            except DomainError:
-                continue
-        probes = []
-        for _ in range(6):
-            coeffs = [Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3])) for _ in range(rank)]
-            v = [sum(c * row[i] for c, row in zip(coeffs, vectors)) for i in range(n)]
-            if all(x.denominator == 1 for x in v):
-                probes.append([int(x) for x in v])
-            else:
-                probes.append([x for x in v])
-        probes.append([rng.randint(-4, 4) for _ in range(n)])
-        results = "".join("1" if lattice.contains(v) else "0" for v in probes)
-        yield "contains(%s, %s)" % (render(vectors), render(probes)), results
-
-
 def _saturation_rows(rng, n):
     """Rows of width n of one kind: dependent, with zero rows, of full rank,
     scaled by a common index, or mixed by a matrix of index above 1."""
@@ -478,18 +427,16 @@ def _coeffs(p):
 
 
 def polynomial_calls(rng):
-    """gcd, is_squarefree and rational_roots on polynomials with 10- to
-    20-digit rational coefficients: the zero and constant cases, coprime
-    pairs, pairs sharing a factor of degree 1-3, and products of rational
-    roots of multiplicity 1-3 with a leading coefficient and an optional
-    irrational factor."""
+    """gcd and is_squarefree on polynomials with 10- to 20-digit rational
+    coefficients: the zero and constant cases, coprime pairs, pairs sharing
+    a factor of degree 1-3, and products of rational roots of multiplicity
+    1-3 with a leading coefficient and an optional irrational factor."""
     zero, const, x = Polynomial(), Polynomial([Fraction(-7, 3)]), Polynomial.x()
     for a, b in ((zero, zero), (zero, const), (const, zero), (zero, x * 3 - 2),
                  (x * 3 - 2, zero), (const, x - 1), (x * x - 2, x * 2 - 4)):
         yield "gcd(%s, %s)" % (_coeffs(a), _coeffs(b)), outcome(a.gcd, b)
     for p in (zero, const, x):
         yield "is_squarefree(%s)" % _coeffs(p), outcome(p.is_squarefree)
-        yield "rational_roots(%s)" % _coeffs(p), outcome(p.rational_roots)
     for _ in range(16):
         digits = rng.choice([10, 20])
         h = _big_poly(rng, rng.randint(1, 3), digits)
@@ -505,7 +452,6 @@ def polynomial_calls(rng):
         if rng.random() < 0.5:
             # no rational root: x^2 - k for a non-square k
             p = p * Polynomial([-rng.choice([2, 3, 5, 6, 7]), 0, 1])
-        yield "rational_roots(%s)" % _coeffs(p), outcome(p.rational_roots)
         yield "is_squarefree(%s)" % _coeffs(p), outcome(p.is_squarefree)
         yield "gcd(%s, derivative)" % _coeffs(p), outcome(p.gcd, p.derivative())
 
@@ -761,7 +707,7 @@ def cover_calls(rng):
         word = commutator(Permutation(a), Permutation(b))
         for c in branch:
             word = word.compose(Permutation(c))
-        branch.append(word.inverse().to_list())
+        branch.append(list(word.inverse().images))
         if trial >= 24:
             # sheets (x, j) for j mod k: a also steps j, so the cover factors
             # through a degree-k torus cover and the covolume can exceed 1
@@ -880,8 +826,6 @@ FAMILIES = {
     "obscurant_hyperelliptic": (12, hyperelliptic_obscurant_calls),
     "obscurant_quartic": (13, quartic_obscurant_calls),
     "pair_witness": (14, pair_witness_calls),
-    "torus_data": (15, torus_data_calls),
-    "contains": (16, contains_calls),
     "multiplication": (17, multiplication_calls),
     "lattice": (18, lattice_calls),
     "polynomials": (19, polynomial_calls),

@@ -79,6 +79,15 @@ def test_line_tolerance_flag_still_applies(capsys):
     assert code == 0 and json.loads(out)["det"] == 8119
 
 
+def test_line_nan_tolerance_exits_1(capsys):
+    # no comparison with NaN is true, so a NaN tolerance would pass the
+    # snaps of pi and e to 355/113 and a rational near e off as exact
+    doc = '{"genus":2,"periods":[[3.141592653589793,0],[0,2.718281828459045],[0,0],[0,0]]}'
+    code, out, err = run(capsys, "realizable", "line", "--tolerance", "nan", "--input", doc)
+    assert code == 1 and out == ""
+    assert err == "error: tolerance must be a nonnegative number, got nan\n"
+
+
 def test_pair_decision(capsys):
     doc = payload(
         a={"genus": 2, "periods": [["1", "0"], ["0", "1"], ["0", "0"], ["0", "0"]]},
@@ -522,6 +531,30 @@ def test_public_names_resolve_lazily():
     assert set(periodforms.__all__) <= set(dir(periodforms))
     with pytest.raises(AttributeError, match="nope"):
         periodforms.nope
+
+
+def test_every_top_level_definition_is_exported_or_used():
+    # a top-level def or class of src is public (in _EXPORTS) or named by
+    # some other top-level statement of src; anything else is dead code
+    import ast
+
+    import periodforms
+
+    statements = []
+    for path in sorted(Path(periodforms.__file__).parent.glob("*.py")):
+        statements += ast.parse(path.read_text()).body
+
+    def names(statement):
+        return {node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(statement) if isinstance(node, (ast.Name, ast.Attribute))}
+
+    used = [names(s) for s in statements]
+    unreached = sorted(
+        s.name for i, s in enumerate(statements)
+        if isinstance(s, (ast.FunctionDef, ast.ClassDef))
+        and not s.name.startswith("__") and s.name not in periodforms._EXPORTS
+        and not any(s.name in u for j, u in enumerate(used) if j != i))
+    assert unreached == []
 
 
 def test_dims_gap_prints_bare_integer(capsys):

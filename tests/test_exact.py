@@ -82,14 +82,13 @@ def test_gaussian_parse_roundtrip():
 
 def test_quadratic_number_arithmetic():
     r = QuadraticNumber(Fraction(1), Fraction(2), 5)  # 1 + 2*sqrt(5)
-    s = QuadraticNumber(Fraction(3), Fraction(-2), 5)
-    t = r + s
-    assert t.b == 0 and t.a == 4
-    assert (r + Fraction(1)).a == 2
-    with pytest.raises(DomainError):
-        r + QuadraticNumber(Fraction(0), Fraction(1), 7)
+    s = r.scale(Fraction(-3, 2))
+    assert (s.a, s.b, s.disc) == (Fraction(-3, 2), -3, 5)
     assert abs(float(r) - (1 + 2 * 5 ** 0.5)) < 1e-12
-    assert r.conjugate().b == -2
+    # a zero radical part or discriminant normalises to a rational value
+    for q in (QuadraticNumber(4, 0, 5), QuadraticNumber(4, 3, 0)):
+        assert (q.a, q.b, q.disc) == (4, 0, 0) and repr(q) == "QuadraticNumber(4)"
+    assert repr(r) == "QuadraticNumber(1 + 2*sqrt(5))"
 
 
 def test_quadratic_sum_cancels():

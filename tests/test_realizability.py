@@ -12,7 +12,6 @@ from periodforms.intlinalg import mat_vec
 from periodforms.realizability import (
     CohomologyClass,
     area,
-    covolume,
     elliptic_pair_criterion,
     hodge_riemann_check,
     is_realizable_elliptic_pair,
@@ -23,12 +22,10 @@ from periodforms.realizability import (
     period_group,
     polyperiod_dimension_gap,
     severi_range,
-    sl2_act,
-    torus_data,
 )
 from periodforms.symplectic_lattice import Sublattice, determinant, omega, saturate
 
-from test_symplectic_lattice import random_sp
+from test_symplectic_lattice import is_member, random_sp
 
 
 def cls(genus, *vals):
@@ -39,6 +36,14 @@ def cls(genus, *vals):
         else:
             periods.append(GaussianRational(Fraction(v), 0))
     return CohomologyClass(genus, periods)
+
+
+def sl2_act(matrix, c):
+    """The class with (Re c, Im c) acted on by a rational 2x2 matrix."""
+    (m11, m12), (m21, m22) = [[Fraction(x) for x in row] for row in matrix]
+    periods = [GaussianRational(m11 * p.re + m12 * p.im, m21 * p.re + m22 * p.im)
+               for p in c.periods]
+    return CohomologyClass(c.genus, periods)
 
 
 def random_class(genus, rng, max_num=10, max_den=4):
@@ -150,14 +155,14 @@ def test_period_group_contains_all_periods():
 
 
 def test_covolume_values_and_degenerate():
-    assert covolume(period_group(cls(2, 1, (0, 1), 0, 0))) == 1
+    assert period_group(cls(2, 1, (0, 1), 0, 0)).covolume() == 1
     basis_half = period_group(
         cls(2, 1, (0, 1), (Fraction(1, 2), 0), (0, Fraction(1, 2)))
     )
-    assert covolume(basis_half) == Fraction(1, 4)
-    assert covolume(period_group(cls(2, 2, (0, 1), 0, 0))) == 2
+    assert basis_half.covolume() == Fraction(1, 4)
+    assert period_group(cls(2, 2, (0, 1), 0, 0)).covolume() == 2
     with pytest.raises(DomainError, match="degenerate"):
-        covolume(period_group(cls(2, 1, 3, 0, 0)))
+        period_group(cls(2, 1, 3, 0, 0)).covolume()
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +312,6 @@ def test_verdict_invariant_under_complex_scaling():
             norm = lam.re * lam.re + lam.im * lam.im
             assert v.area == base.area * norm
             assert v.det == base.det
-
-
-def test_sl2_rejects_wrong_determinant():
-    with pytest.raises(DomainError):
-        sl2_act([[2, 0], [0, 2]], cls(2, 1, (0, 1), 0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +592,7 @@ def test_pair_refuter_finds_rational_splitting():
         assert parse_rational(w["pairing"]) > 0
         plane = Sublattice(w["plane"], genus=g)
         assert determinant(plane) >= 1
-        assert all(span.contains(row) for row in w["plane"])
+        assert all(is_member(span, row) for row in w["plane"])
 
 
 def test_pair_scrambled_determinants():
@@ -660,36 +660,6 @@ def test_dimension_gap_table():
         polyperiod_dimension_gap(3, 0)
 
 
-def test_torus_data_worked_examples():
-    lat, mat = torus_data([cls(2, 1, (0, 1), 0, 0)])
-    assert lat.hnf() == [[1, 0, 0, 0], [0, 1, 0, 0]]
-    assert [x.to_pair() for x in mat[0]] == [["1", "0"], ["0", "1"]]
-    lat, mat = torus_data([cls(2, 2, (0, 1), 0, 0)])
-    assert [x.to_pair() for x in mat[0]] == [["2", "0"], ["0", "1"]]
-    lat, mat = torus_data([cls(2, 1, (0, 1), 1, (0, 1))])
-    assert lat.rank == 2
-    assert [x.to_pair() for x in mat[0]] == [["1", "0"], ["0", "1"]]
-
-
-def test_torus_data_pair_and_reconstruction():
-    rng = random.Random(83)
-    a, b = pair_with_block_determinant(3, 2, rng)
-    lat, mat = torus_data([a, b])
-    assert lat.rank == 4
-    # reconstruct each class from its coordinates in the lattice basis
-    for c, row in zip((a, b), mat):
-        rebuilt = [GaussianRational(0, 0)] * len(c.periods)
-        for coeff, vec in zip(row, lat.vectors):
-            for r in range(len(rebuilt)):
-                rebuilt[r] = rebuilt[r] + coeff * vec[r]
-        assert tuple(rebuilt) == c.periods
-
-
-def test_torus_data_rejects_nonpositive():
-    with pytest.raises(DomainError):
-        torus_data([cls(2, 1, 2, 3, 5)])
-
-
 # ---------------------------------------------------------------------------
 # float input mode
 
@@ -716,3 +686,17 @@ def test_float_mode_input_checks():
         line_verdict_from_floats(2, [1.0, 2.0])
     with pytest.raises(DomainError):
         line_verdict_from_floats(1, [1.0, 2.0])
+
+
+def test_float_mode_refuses_nan_and_negative_tolerance():
+    # every comparison with NaN is false, so a NaN tolerance would pass
+    # 355/113 and a rational near e off as an exact verdict
+    periods = [complex(math.pi, 0), complex(0, math.e), 0j, 0j]
+    for tolerance, text in ((math.nan, "nan"), (-1e-9, "-1e-09"), (-math.inf, "-inf")):
+        with pytest.raises(DomainError, match="^tolerance must be a nonnegative number, got %s$" % text):
+            line_verdict_from_floats(2, periods, tolerance=tolerance)
+    assert line_verdict_from_floats(2, periods, tolerance=1e-9).heuristic
+    # an infinite tolerance snaps whatever lands, so the verdict is exact
+    v = line_verdict_from_floats(2, periods, tolerance=math.inf)
+    assert not v.heuristic and v.det == 1
+    assert line_verdict_from_floats(2, [1, 1j, 0, 0], tolerance=0).det == 1
