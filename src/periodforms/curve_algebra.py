@@ -501,18 +501,25 @@ def section_values(gamma: Differential, beta: Differential, alpha: Differential,
         raise DomainError("beta vanishes at a zero of alpha")
     # at a float root, beta's terms could cancel against alpha's
     top, bottom = gamma.p % alpha.p, beta.p % alpha.p
-
-    def value(x):
-        below = bottom(x)
-        if below == 0:
-            # only a float can round to zero here; the exact value is not
-            raise DomainError("beta rounds to zero at a zero of alpha")
-        v = top(x) / below
-        return v, v
-
     if numeric:
+        def value(x):
+            below = bottom(x)
+            if below == 0:
+                # only a float can round to zero here; the exact value is not
+                raise DomainError("beta rounds to zero at a zero of alpha")
+            v = top(x) / below
+            return v, v
+
         return _float_values(value, xs)
-    return [v for x in xs for v in value(x)]
+    out = []
+    for x in xs:
+        # top(x) = T/dT and bottom(x) = B/dB != 0 over Z, since beta and
+        # alpha share no zero
+        u, w = x.numerator, x.denominator
+        (t, dt), (b, db) = top._at(u, w), bottom._at(u, w)
+        v = Fraction(t * db, dt * b)
+        out += (v, v)
+    return out
 
 
 def residues_of_quotient(omega: QuadDifferential, alpha: Differential, numeric=False):
@@ -535,9 +542,13 @@ def residues_of_quotient(omega: QuadDifferential, alpha: Differential, numeric=F
         return _float_values(residues, xs)
     out = []
     for x in xs:
-        disc = omega.curve.f(x)
-        rational = omega.r(x) / slope(x)
-        radical = omega.q(x) / (disc * slope(x))
+        # f(x) = F/dF, p'(x) = S/dS, q(x) = Q/dQ and r(x) = R/dR over Z
+        u, w = x.numerator, x.denominator
+        (f, df), (s, ds) = omega.curve.f._at(u, w), slope._at(u, w)
+        (q, dq), (r, dr) = omega.q._at(u, w), omega.r._at(u, w)
+        disc = Fraction(f, df)
+        rational = Fraction(r * ds, dr * s)
+        radical = Fraction(q * df * ds, dq * f * s)
         out.append(QuadraticNumber(rational, radical, disc))
         out.append(QuadraticNumber(rational, -radical, disc))
     return out
@@ -630,7 +641,9 @@ def quartic_cross_ratio(quartic: PlaneQuartic, alpha_line, beta_line, gamma_line
     Otherwise gamma/beta = (g1*t + g0)/(b1*t + b0) is a Moebius map with
     nonzero determinant, defined at the four distinct roots, and Moebius
     maps preserve cross-ratios in the same order.  So the two cross-ratios
-    are equal and ``matches`` is always True; floats only give the values.
+    are equal and ``matches`` is always True; floats only give the values,
+    and a chart, coefficient or value past the float range, a ratio that is
+    not finite or one that rounding divides by zero is refused.
 
     The quartic keeps the chart, R and R's roots for the last alpha line,
     so further calls on that line with other beta and gamma repeat only
@@ -650,11 +663,15 @@ def quartic_cross_ratio(quartic: PlaneQuartic, alpha_line, beta_line, gamma_line
     if roots is None:
         roots = tuple(_numeric_roots(restricted))
         object.__setattr__(quartic, "_memo", (alpha, v, base, restricted, roots))
-    points = [tuple(complex(base[i]) * t + complex(v[i]) for i in range(3)) for t in roots]
+    # once the checks pass, only rounding can divide by zero here, and only
+    # a chart, a coefficient or a value past the float range can overflow
     try:
+        (v0, v1, v2), (w0, w1, w2) = map(complex, v), map(complex, base)
+        points = [(w0 * t + v0, w1 * t + v1, w2 * t + v2) for t in roots]
         forms_ratio = _cross_ratio(*[gamma(z) / beta(z) for z in points])
         points_ratio = _cross_ratio(*roots)
-    except ZeroDivisionError:
-        # only rounding can make a denominator vanish once the checks pass
-        raise DomainError("the cross-ratio is not representable in floating point") from None
+    except (OverflowError, ZeroDivisionError):
+        forms_ratio = None
+    if forms_ratio is None or not (cmath.isfinite(forms_ratio) and cmath.isfinite(points_ratio)):
+        raise DomainError("the cross-ratio is not representable in floating point")
     return forms_ratio, points_ratio, True

@@ -123,7 +123,7 @@ class QuadraticNumber:
     __slots__ = ("a", "b", "disc")
 
     def __init__(self, a, b=0, disc=0):
-        a, b, disc = Fraction(a), Fraction(b), Fraction(disc)
+        a, b, disc = (v if isinstance(v, (int, Fraction)) else Fraction(v) for v in (a, b, disc))
         if b == 0:
             disc = Fraction(0)
         if disc == 0:

@@ -9,7 +9,10 @@ check (Brown, J. ACM 18, 1971; Knuth, TAOCP vol. 2, 4.6.1).  A TernaryForm
 is integer coefficients over one positive denominator too, so its values
 at rational and Polynomial points are integer sums.  Nothing in here ever
 rounds; values at float and complex points are those the Fraction
-coefficients give, bit for bit.
+coefficients give, bit for bit.  A linear form's value there is one dot
+product of its converted coefficients with the coordinates, which gives the
+bits of the power tables that higher degrees use wherever its terms are
+finite.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ class Polynomial:
     __slots__ = ("num", "den")
 
     def __init__(self, coeffs=()):
-        values = [Fraction(v) for v in coeffs]
+        values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in coeffs]
         while values and values[-1] == 0:
             values.pop()
         # the lcm of reduced denominators leaves no common factor
@@ -156,18 +159,24 @@ class Polynomial:
             return False
         return self.gcd(self.derivative()).degree == 0
 
-    def __call__(self, x):
+    def _at(self, u, v):
+        """(numerator, denominator) of the value at x = u/v, for integers u
+        and v != 0, not reduced: the homogeneous Horner over Z, sum c_i u^i
+        v^(n-i), over den v^n."""
         num = self.num
         if not num:
-            return Fraction(0)
+            return 0, 1
+        acc, power = num[-1], 1
+        for c in reversed(num[:-1]):
+            power *= v
+            acc = acc * u + c * power
+        return acc, self.den * power
+
+    def __call__(self, x):
         if isinstance(x, (int, Fraction)):
-            # homogeneous Horner over Z: sum c_i u^i v^(n-i), over den v^n
-            u, v = x.numerator, x.denominator
-            acc, power = num[-1], 1
-            for c in reversed(num[:-1]):
-                power *= v
-                acc = acc * u + c * power
-            return Fraction(acc, self.den * power)
+            return Fraction(*self._at(x.numerator, x.denominator))
+        if not self.num:
+            return Fraction(0)
         # Horner over the Fraction coefficients, for floats and complex
         coeffs = self.coeffs
         acc = coeffs[-1]
@@ -457,7 +466,14 @@ class TernaryForm:
 
     @staticmethod
     def linear(a, b, c):
-        return TernaryForm(1, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c})
+        """The form a x + b y + c z, equal to TernaryForm(1, {(1, 0, 0): a,
+        (0, 1, 0): b, (0, 0, 1): c}) without its exponent checks."""
+        a, b, c = (v if isinstance(v, (int, Fraction)) else Fraction(v) for v in (a, b, c))
+        den = lcm(a.denominator, b.denominator, c.denominator)
+        return TernaryForm._make(1, {
+            (1, 0, 0): a.numerator * (den // a.denominator),
+            (0, 1, 0): b.numerator * (den // b.denominator),
+            (0, 0, 1): c.numerator * (den // c.denominator)}, den)
 
     @property
     def coeffs(self):
@@ -552,23 +568,35 @@ class TernaryForm:
             px, py, pz = ([x**e for e in range(n + 1)]
                           for x in (c.numerator * (d // c.denominator) for c in point))
             return Fraction(sum(c * px[i] * py[j] * pz[k] for (i, j, k), c in num), self.den * d**n)
-        # one power table per coordinate.  Each term multiplies its
-        # coefficient by the x power first, and a Fraction times a float or
-        # complex number is c / den, or complex(c / den), times it: so a
-        # float or complex x takes those coefficients, bit-identically, and
-        # an int or Fraction x the exact Fractions
+        # Each term multiplies its coefficient by the x power first, and a
+        # Fraction times a float or complex number is c / den, or
+        # complex(c / den), times it: so a float or complex x takes those
+        # coefficients, bit-identically, and an int or Fraction x the exact
+        # Fractions
+        den, x = self.den, point[0]
+        if isinstance(x, complex):
+            coeffs = [(key, complex(c / den)) for key, c in num]
+        elif isinstance(x, float):
+            coeffs = [(key, c / den) for key, c in num]
+        else:
+            coeffs = self.coeffs
+        if n == 1 and isinstance(x, (float, complex)):
+            # a linear form is one dot product.  The power table's factors
+            # x^0 = 1.0 or 1 + 0j change at most the sign of a zero part of
+            # a finite term, and the sum, started at 0, loses that sign; it
+            # starts at 0j when a coordinate is complex, since a complex
+            # table makes every term complex
+            _, y, z = point
+            acc = 0j if isinstance(x, complex) or isinstance(y, complex) or isinstance(z, complex) else 0
+            for (i, j, _), value in coeffs:
+                acc = acc + value * (x if i else y if j else z)
+            return acc
+        # otherwise one power table per coordinate
         powers = [[c**0] for c in point]
         for c, row in zip(point, powers):
             for _ in range(n):
                 row.append(row[-1] * c)
         px, py, pz = powers
-        den = self.den
-        if isinstance(point[0], complex):
-            coeffs = [(key, complex(c / den)) for key, c in num]
-        elif isinstance(point[0], float):
-            coeffs = [(key, c / den) for key, c in num]
-        else:
-            coeffs = self.coeffs
         acc = 0
         for (i, j, k), value in coeffs:
             acc = acc + value * px[i] * py[j] * pz[k]

@@ -658,6 +658,32 @@ def test_numeric_roots_outside_the_float_range_exit_1(capsys, argv):
     assert err == "error: the polynomial is not representable in floating point\n"
 
 
+# x^4 + y^4 + z^4 + 3 x^2 y^2 is smooth, and each input below passes every
+# exact check, so only the floats can fail
+CROSS_RATIO_QUARTIC = {"kind": "quartic",
+                       "coefficients": [[4, 0, 0, "1"], [0, 4, 0, "1"], [0, 0, 4, "1"], [2, 2, 0, "3"]]}
+
+
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [
+        # the chart coordinates lie past the float range
+        (["1/" + TOO_BIG, "1", "2"], ["0", "1", "0"]),
+        # a coefficient of beta lies past the float range
+        (["1", "1", "2"], [TOO_BIG, "1", "0"]),
+        # beta's values at the four points overflow to inf, so the forms
+        # ratio would print as NaN
+        (["1/" + str(10**30), "1", "2"], [str(10**300), "1", "0"]),
+    ],
+    ids=["chart-overflows", "coefficient-overflows", "ratio-not-finite"],
+)
+def test_cross_ratio_outside_the_float_range_exits_1(capsys, alpha, beta):
+    doc = payload(curve=CROSS_RATIO_QUARTIC, alpha=alpha, beta=beta, gamma=["0", "0", "1"])
+    code, out, err = run(capsys, "curve", "cross-ratio", "--input", doc)
+    assert code == 1 and out == ""
+    assert err == "error: the cross-ratio is not representable in floating point\n"
+
+
 def test_output_integer_past_the_digit_limit_exits_1(capsys):
     # the determinant 10^4400 has 4,401 digits; the input has 2,201 each
     big = 10**2200

@@ -6,7 +6,7 @@ from math import isqrt
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from periodforms.errors import DomainError
@@ -440,9 +440,10 @@ def ternary_tables(draw, degree):
 @st.composite
 def ternary_points(draw):
     """A point of each type a form is evaluated at: ints, Fractions mixed
-    with ints, Polynomials mixed with ints, floats and complex numbers."""
+    with ints, Polynomials mixed with ints, floats, complex numbers, and
+    floats mixed with complex numbers; signed zeros are drawn often."""
     small = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
-    kind = draw(st.sampled_from(["int", "fraction", "polynomial", "float", "complex"]))
+    kind = draw(st.sampled_from(["int", "fraction", "polynomial", "float", "complex", "mixed"]))
     if kind == "int":
         return tuple(draw(st.integers(-50, 50)) for _ in range(3))
     if kind == "fraction":
@@ -450,27 +451,53 @@ def ternary_points(draw):
     if kind == "polynomial":
         poly = st.builds(Polynomial, st.lists(small, max_size=3))
         return tuple(draw(st.one_of(poly, st.integers(-5, 5))) for _ in range(3))
-    number = st.floats(-4, 4, allow_nan=False)
+    number = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4, 4, allow_nan=False))
     if kind == "float":
         return tuple(draw(number) for _ in range(3))
-    return tuple(complex(draw(number), draw(number)) for _ in range(3))
+    if kind == "complex":
+        return tuple(complex(draw(number), draw(number)) for _ in range(3))
+    return tuple(draw(st.one_of(number, st.builds(complex, number, number))) for _ in range(3))
+
+
+def bits(value):
+    """value, with a float or both parts of a complex number written by
+    float.hex, so that a signed zero compares too."""
+    if isinstance(value, complex):
+        return value.real.hex(), value.imag.hex()
+    if isinstance(value, float):
+        return value.hex()
+    return value
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 4).flatmap(lambda d: st.tuples(st.just(d), ternary_tables(d), ternary_tables(1))),
        ternary_points())
+# -x at x = 0.0 is a term -0.0, and the oracle's sum, started at 0, is 0.0
+@example((0, {(0, 0, 0): 1}, {(1, 0, 0): -1, (0, 1, 0): 0, (0, 0, 1): 0}), (0.0, -0.0, 2.5))
+# the oracle's y table is complex, so x alone at this point is complex
+@example((0, {(0, 0, 0): 1}, {(1, 0, 0): F(-1, 3), (0, 1, 0): 0, (0, 0, 1): 0}), (-0.0, 1.5j, 2.0))
 def test_ternary_form_matches_the_fraction_oracle(case, point):
     degree, table, line = case
     form, oracle = TernaryForm(degree, table), FractionTernaryForm(degree, table)
     lin, lin_oracle = TernaryForm(1, line), FractionTernaryForm(1, line)
-    pairs = [(form, oracle), (form * lin, oracle * lin_oracle), (form.scale(F(-3, 7)), oracle.scale(F(-3, 7))),
-             (form + form.scale(2), oracle + oracle.scale(2))]
+    pairs = [(form, oracle), (lin, lin_oracle), (form * lin, oracle * lin_oracle),
+             (form.scale(F(-3, 7)), oracle.scale(F(-3, 7))), (form + form.scale(2), oracle + oracle.scale(2))]
     if degree:
         pairs += [(form.partial(v), oracle.partial(v)) for v in range(3)]
     for got, expected in pairs:
         assert got.coeffs == expected.coeffs
         value, reference = got(point), expected(point)
-        assert type(value) is type(reference) and value == reference
+        assert type(value) is type(reference) and bits(value) == bits(reference)
+
+
+@pytest.mark.parametrize("a, b, c", [
+    (1, 0, -2), (0, 0, 0), (F(1, 6), F(-3, 4), 5), ("1/6", "-3/4", "5"), (0.5, -0.1, 3.0), (F(2, 3), "7", 0.25),
+])
+def test_linear_is_the_degree_one_form(a, b, c):
+    form = TernaryForm.linear(a, b, c)
+    general = TernaryForm(1, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c})
+    assert (form.degree, form.num, form.den) == (general.degree, general.num, general.den)
+    assert form == general and hash(form) == hash(general)
 
 
 def test_ternary_monomial_order():
