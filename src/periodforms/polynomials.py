@@ -568,11 +568,11 @@ class TernaryForm:
             px, py, pz = ([x**e for e in range(n + 1)]
                           for x in (c.numerator * (d // c.denominator) for c in point))
             return Fraction(sum(c * px[i] * py[j] * pz[k] for (i, j, k), c in num), self.den * d**n)
-        # Each term multiplies its coefficient by the x power first, and a
-        # Fraction times a float or complex number is c / den, or
-        # complex(c / den), times it: so a float or complex x takes those
-        # coefficients, bit-identically, and an int or Fraction x the exact
-        # Fractions
+        # In the power tables each term multiplies its coefficient by the x
+        # power first, and a Fraction times a float or complex number is
+        # c / den, or complex(c / den), times it: so a float or complex x
+        # takes those coefficients, bit-identically, and an int or Fraction
+        # x the exact Fractions
         den, x = self.den, point[0]
         if isinstance(x, complex):
             coeffs = [(key, complex(c / den)) for key, c in num]
