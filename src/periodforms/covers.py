@@ -241,12 +241,10 @@ def period_lattice_of_cover(c: BranchedTorusCover) -> PlanarLattice:
                 queue.append(v)
     if len(pot) != d:
         raise DomainError("connectivity was checked at construction")
-    gens = []
-    for u, v, w in edges:
-        gens.append(
-            [pot[u][0] + w[0] - pot[v][0], pot[u][1] + w[1] - pot[v][1]]
-        )
-    return PlanarLattice(GaussianRational(x, y) for x, y in row_hnf(gens))
+    # most weights repeat or vanish; a set of them spans the same group,
+    # and the Hermite form of a group is canonical
+    gens = {(pot[u][0] + w[0] - pot[v][0], pot[u][1] + w[1] - pot[v][1]) for u, v, w in edges}
+    return PlanarLattice(GaussianRational(x, y) for x, y in row_hnf(sorted(gens)))
 
 
 def cover_class_invariants(c: BranchedTorusCover):

@@ -52,7 +52,7 @@ def vec_gcd(v):
 
 
 def is_zero_vec(v):
-    return all(a == 0 for a in v)
+    return not any(v)
 
 
 def mat_eq(a, b):
@@ -79,7 +79,7 @@ def row_hnf(rows):
     """
     a = [list(r) for r in rows]
     n = len(a[0]) if a else 0
-    return [r for r in _hermite(a, n) if not is_zero_vec(r)]
+    return [r for r in _hermite(a, n) if any(r)]
 
 
 def _hermite(a, n):

@@ -5,11 +5,17 @@ homology.  With exact Gaussian-rational periods the period group is always
 discrete, so the area-versus-covolume criterion is decidable; the equivalent
 integer form is that the determinant of the saturated real span is at least 2.
 Float inputs only ever get a heuristic answer and are labeled as such.
+
+Each decision clears denominators once: a class keeps den * Re c and
+den * Im c over the lcm den of its periods' denominators, and every check,
+invariant and witness of a verdict reads those integer rows, brought to
+one common denominator when a verdict takes two classes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import DomainError, check_output_size
 from .exact import GaussianRational, format_rational
@@ -18,7 +24,7 @@ from .exact import GaussianRational, format_rational
 class CohomologyClass:
     """A degree-one complex class on a genus-g surface, stored by periods."""
 
-    __slots__ = ("genus", "periods")
+    __slots__ = ("genus", "periods", "_rows")
 
     def __init__(self, genus, periods):
         genus = int(genus)
@@ -35,6 +41,7 @@ class CohomologyClass:
             )
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "periods", periods)
+        object.__setattr__(self, "_rows", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CohomologyClass is immutable")
@@ -44,6 +51,15 @@ class CohomologyClass:
 
     def im_vector(self):
         return [p.im for p in self.periods]
+
+    def _integer_rows(self):
+        """((den * Re c, den * Im c), den) with den > 0 the lcm of the
+        periods' denominators, cleared on first use and kept; callers share
+        the lists and never change them."""
+        if self._rows is None:
+            from .intlinalg import clear_denominators
+            object.__setattr__(self, "_rows", clear_denominators([self.re_vector(), self.im_vector()]))
+        return self._rows
 
     def is_zero(self):
         return all(p.is_zero() for p in self.periods)
@@ -176,39 +192,42 @@ class RealizabilityVerdict:
         return "RealizabilityVerdict(%r)" % (self.to_dict(),)
 
 
+def _cleared(classes):
+    """([(re, im), ...], den): the integer rows of each class brought to
+    one common denominator den, the lcm of the classes' own."""
+    rows = [c._integer_rows() for c in classes]
+    den = lcm(*(d for _, d in rows))
+    return [pair if d == den else [[x * (den // d) for x in v] for v in pair]
+            for pair, d in rows], den
+
+
 def area(c: CohomologyClass) -> Fraction:
     """Signed area omega(Re c, Im c); positive for holomorphic orientation.
 
     The pairing runs on the integer rows den * Re c, den * Im c of one
     common denominator, and the area is that pairing over den^2.
     """
-    from .intlinalg import clear_denominators
     from .symplectic_lattice import omega
-    (re, im), den = clear_denominators([c.re_vector(), c.im_vector()])
+    (re, im), den = c._integer_rows()
     return Fraction(omega(re, im), den * den)
 
 
 def period_group(c: CohomologyClass) -> PlanarLattice:
-    from .intlinalg import clear_denominators, row_hnf
-    rows = [[p.re, p.im] for p in c.periods if not p.is_zero()]
-    if not rows:
-        return PlanarLattice([])
-    ints, den = clear_denominators(rows)
+    """The Hermite basis of the nonzero periods' integer rows, over den."""
+    from .intlinalg import row_hnf
+    (re, im), den = c._integer_rows()
+    rows = [[x, y] for x, y in zip(re, im) if x or y]
     basis = [
-        GaussianRational(Fraction(row[0], den), Fraction(row[1], den))
-        for row in row_hnf(ints)
+        GaussianRational(Fraction(x, den), Fraction(y, den))
+        for x, y in row_hnf(rows)
     ]
     return PlanarLattice(basis)
 
 
 def _real_span_lattice(classes):
-    from .intlinalg import clear_denominators
     from .symplectic_lattice import Sublattice
-    rows = []
-    for c in classes:
-        rows.append(c.re_vector())
-        rows.append(c.im_vector())
-    return Sublattice(clear_denominators(rows)[0])
+    rows, _ = _cleared(classes)
+    return Sublattice([v for pair in rows for v in pair])
 
 
 def line_determinant(c: CohomologyClass) -> int:
@@ -315,7 +334,7 @@ def hodge_riemann_check(taus) -> bool:
     and h is positive definite exactly when S is: by Sylvester's
     criterion, when every leading principal minor of S is positive.
     """
-    from .intlinalg import clear_denominators, integer_det, integer_rank
+    from .intlinalg import integer_det, integer_rank
     from .symplectic_lattice import omega
     taus = list(taus)
     if not 1 <= len(taus) <= 3:
@@ -324,8 +343,8 @@ def hodge_riemann_check(taus) -> bool:
     if any(t.genus != genus for t in taus):
         raise DomainError("classes live on surfaces of different genus")
     k = len(taus)
-    rows, _ = clear_denominators([t.re_vector() for t in taus] + [t.im_vector() for t in taus])
-    r, s = rows[:k], rows[k:]
+    rows, _ = _cleared(taus)
+    r, s = [re for re, _ in rows], [im for _, im in rows]
     p, q = r + [[-x for x in v] for v in s], s + r
     if integer_rank([u + v for u, v in zip(p, q)]) < 2 * k:
         raise DomainError("classes are linearly dependent")
@@ -338,12 +357,10 @@ def isotropy_check(a: CohomologyClass, b: CohomologyClass) -> bool:
     """omega(a, b) = 0, read off its real and imaginary parts, on the four
     rows cleared with one common denominator, which scales every pairing
     by the same positive factor."""
-    from .intlinalg import clear_denominators
     from .symplectic_lattice import omega
     if a.genus != b.genus:
         raise DomainError("classes live on surfaces of different genus")
-    (are, aim, bre, bim), _ = clear_denominators(
-        [a.re_vector(), a.im_vector(), b.re_vector(), b.im_vector()])
+    ((are, aim), (bre, bim)), _ = _cleared([a, b])
     return omega(are, bre) == omega(aim, bim) and omega(are, bim) == -omega(aim, bre)
 
 
@@ -377,27 +394,28 @@ def _splitting_witness(a, b, lattice):
     is positive and span(v, w) is a symplectic plane whose complexification
     contains t.  So an exact pair is never simple.  "coefficients" are
     those of v in the basis of U.
+
+    All of it runs on the integer rows R = den * (Re a, Im a, Re b, Im b):
+    the system in R solved for den * v has the same solution, e clears its
+    denominators, and the integer w' = den * e * w gives the pairing
+    omega(v, w') / (den * e) and, as a positive scale changes no
+    saturation, the same plane.
     """
     from .intlinalg import clear_denominators, rational_solve
     from .symplectic_lattice import Sublattice, omega, saturate
-    cols = [a.re_vector(), a.im_vector(), b.re_vector(), b.im_vector()]
-    n = len(cols[0])
+    ((are, aim), (bre, bim)), den = _cleared([a, b])
     # unknowns (xr, xi, yr, yi) for t = (xr + i xi) a + (yr + i yi) b,
     # with v = 2 Re t; the sign pattern below is Re of the product
-    system = [
-        [2 * cols[0][r], -2 * cols[1][r], 2 * cols[2][r], -2 * cols[3][r]]
-        for r in range(n)
-    ]
+    system = [[2 * p, -2 * q, 2 * r, -2 * s] for p, q, r, s in zip(are, aim, bre, bim)]
     v = list(lattice.vectors[-1])
-    xr, xi, yr, yi = rational_solve(system, v)
-    w = [
-        2 * (xi * cols[0][r] + xr * cols[1][r] + yi * cols[2][r] + yr * cols[3][r])
-        for r in range(n)
-    ]
-    value = omega(v, w)
+    x = rational_solve(system, [den * t for t in v])
+    ((xr, xi, yr, yi),), e = clear_denominators([x])
+    w = [2 * (xi * p + xr * q + yi * r + yr * s) for p, q, r, s in zip(are, aim, bre, bim)]
+    value = Fraction(omega(v, w), den * e)
     if value <= 0:
         raise DomainError("splitting witness has non-positive pairing %s" % value)
-    plane = saturate(Sublattice(clear_denominators([v, w])[0]))
+    # independent: the pairing of v and w is positive (see Sublattice)
+    plane = saturate(Sublattice._trusted([v, w], a.genus))
     return {
         "coefficients": [0, 0, 0, 1],
         "vector": v,

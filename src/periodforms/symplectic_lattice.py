@@ -9,8 +9,8 @@ vectors; the Hermite form of the generators is the canonical representative.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
-from operator import mul
+from math import gcd, isqrt, prod
+from operator import index, mul
 
 from .errors import DomainError
 from .intlinalg import (
@@ -37,22 +37,46 @@ def omega(u, v):
     return total
 
 
+def _integers(v):
+    """The entries of v as a list of ints; an entry that is not an integer
+    is refused, never truncated."""
+    try:
+        return list(map(index, v))
+    except TypeError:
+        raise DomainError("entries must be integers") from None
+
+
 def is_indivisible(v) -> bool:
     """True when v is primitive: the gcd of its coordinates is 1."""
-    return vec_gcd([int(x) for x in v]) == 1
+    return vec_gcd(_integers(v)) == 1
 
 
 class Sublattice:
     """A finite-rank sublattice of Z^(2g) with the standard form, given by
     generator vectors; genus defaults to half the vector length.
 
-    The generators must be independent.  Rows in echelon form, with no zero
-    row and leading columns strictly increasing, are independent by their
-    shape, so only other inputs pay for the certified integer_rank.
+    The generators must be integers and independent.  Rows in echelon form,
+    with no zero row and leading columns strictly increasing, are
+    independent by their shape, so only other inputs pay for the certified
+    integer_rank.  _trusted wraps rows without either check, and only where
+    a check already on the path proves them independent:
+
+    - the adapted basis of alternating_normal_form: _split_pair refuses a
+      zero divisor, and the basis pairs in blocks [[0, d_i], [-d_i, 0]],
+      so its Gram determinant, the product of the d_i squared, is nonzero;
+    - the image that a Sp(2g, Z) map compares with its target: the map
+      passed the SpMatrix check, so it is invertible and takes independent
+      rows to independent rows;
+    - the plane of the pair verdict's splitting witness: the pairing of its
+      two rows is checked to be positive, so neither is a multiple of the
+      other.
     """
 
     def __init__(self, vectors, genus=None):
-        vectors = [tuple(int(x) for x in v) for v in vectors]
+        try:
+            vectors = [tuple(map(index, v)) for v in vectors]
+        except TypeError:
+            raise DomainError("entries must be integers") from None
         if not vectors:
             raise DomainError("sublattice needs at least one generator")
         n = len(vectors[0])
@@ -70,6 +94,15 @@ class Sublattice:
             raise DomainError("generators are linearly dependent")
         self.genus = genus
         self.vectors = vectors
+
+    @classmethod
+    def _trusted(cls, vectors, genus):
+        """Wrap integer rows already proven independent, without a check;
+        the class docstring lists the callers and their proofs."""
+        lattice = cls.__new__(cls)
+        lattice.genus = genus
+        lattice.vectors = list(map(tuple, vectors))
+        return lattice
 
     @property
     def rank(self) -> int:
@@ -167,7 +200,8 @@ def alternating_normal_form(lattice: Sublattice) -> NormalForm:
     # an explicit check, so it still runs under python -O
     if any(q % p for p, q in zip(divisors, divisors[1:])):
         raise DomainError("divisor chain broken")
-    basis = Sublattice([r[:n] for r in rows], genus=lattice.genus)
+    # independent: _split_pair refused every zero divisor (see Sublattice)
+    basis = Sublattice._trusted([r[:n] for r in rows], lattice.genus)
     return NormalForm(divisors, basis, [r[n:] for r in rows])
 
 
@@ -250,7 +284,7 @@ class SpMatrix:
     """
 
     def __init__(self, entries):
-        entries = [[int(x) for x in row] for row in entries]
+        entries = [_integers(row) for row in entries]
         n = len(entries)
         if n % 2 != 0 or n < 2 or any(len(r) != n for r in entries):
             raise DomainError("symplectic matrix must be square of even size")
@@ -273,7 +307,7 @@ class SpMatrix:
         return m
 
     def apply(self, v):
-        v = [int(x) for x in v]
+        v = _integers(v)
         if len(v) != 2 * self.genus:
             raise DomainError("vector length does not match the matrix")
         return mat_vec(self.entries, v)
@@ -305,7 +339,7 @@ def extend_to_symplectic_basis(v, genus=None) -> SpMatrix:
     elementary moves of _moves_to_e0 give A with A v = e0, and the answer
     is A^-1 = J (J A)^T, built through the checked constructor.
     """
-    v = [int(x) for x in v]
+    v = _integers(v)
     n = len(v)
     if genus is not None and n != 2 * genus:
         raise DomainError("vector length does not match genus")
@@ -457,12 +491,12 @@ def _reduce_pair(a, lo: int, x, y, d: int):
         raise DomainError("canonical reduction failed")
 
 
-def _reduce_to_canonical(lattice: Sublattice) -> SpMatrix:
+def _reduce_to_canonical(lattice: Sublattice, nf: NormalForm) -> SpMatrix:
     """R in Sp(2g, Z) mapping the complete rank-2 or rank-4 input onto the
-    canonical lattice of its divisors.
+    canonical lattice of its divisors, given its normal form nf.
 
     R is one matrix, from the identity by row operations, and is checked
-    once at the end.  One normal form gives the adapted pairs, and
+    once at the end.  The normal form gives the adapted pairs, and
     _reduce_pair takes the first onto the canonical lattice of its divisor.
     A second pair needs that divisor to be 1, so the first lands on
     span(e0, f0) and the second in its complement, where _reduce_pair
@@ -475,7 +509,6 @@ def _reduce_to_canonical(lattice: Sublattice) -> SpMatrix:
     decides.
     """
     g = lattice.genus
-    nf = alternating_normal_form(lattice)
     x, y, *second = nf.basis.vectors
     # explicit checks, so they still run under python -O
     if second and nf.divisors[0] != 1:
@@ -496,23 +529,34 @@ def _map_sublattice(u: Sublattice, u2: Sublattice, rank: int) -> SpMatrix:
         raise DomainError("sublattices live in different ambients")
     if u.rank != rank or u2.rank != rank:
         raise DomainError("expected rank-%d sublattices" % rank)
-    d1 = determinant(u)
-    d2 = determinant(u2)
+    # one normal form per side: the product of its divisors is the
+    # determinant, and the reduction reads its adapted pairs
+    nfs = []
+    for lattice in (u, u2):
+        try:
+            nfs.append(alternating_normal_form(lattice))
+        except DomainError as exc:
+            if exc.args != ("degenerate restriction",):
+                raise
+            raise DomainError("not symplectic sublattice: degenerate restriction") from None
+    d1, d2 = (prod(nf.divisors) for nf in nfs)
     if d1 != d2:
         raise DomainError("unequal determinants: %d vs %d" % (d1, d2))
     # the reductions refuse every incomplete input; only then is the
     # completeness test run, so that the refusal names the cause
     try:
-        r1 = _reduce_to_canonical(u)
-        r2 = _reduce_to_canonical(u2)
+        r1 = _reduce_to_canonical(u, nfs[0])
+        r2 = _reduce_to_canonical(u2, nfs[1])
     except DomainError:
         if not is_complete(u) or not is_complete(u2):
             raise DomainError("sublattice not complete") from None
         raise
     # SpMatrix revalidates the product and the image is compared explicitly,
-    # so both checks still run under python -O
+    # so both checks still run under python -O; the checked delta is
+    # invertible, so the image of u's rows is independent (see Sublattice)
     delta = SpMatrix(r2.inverse().compose(r1).entries)
-    if not delta.apply_lattice(u).same_lattice(u2):
+    image = Sublattice._trusted([mat_vec(delta.entries, v) for v in u.vectors], u.genus)
+    if not image.same_lattice(u2):
         raise DomainError("rank-%d mapping failed" % rank)
     return delta
 

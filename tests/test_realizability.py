@@ -7,8 +7,8 @@ import pytest
 
 from periodforms import realizability
 from periodforms.errors import DomainError
-from periodforms.exact import GaussianRational, parse_rational
-from periodforms.intlinalg import mat_vec
+from periodforms.exact import GaussianRational, format_rational, parse_rational
+from periodforms.intlinalg import clear_denominators, integer_rank, mat_vec, rational_solve
 from periodforms.realizability import (
     CohomologyClass,
     area,
@@ -593,6 +593,55 @@ def test_pair_refuter_finds_rational_splitting():
         plane = Sublattice(w["plane"], genus=g)
         assert determinant(plane) >= 1
         assert all(is_member(span, row) for row in w["plane"])
+
+
+def fraction_witness(a, b):
+    """Oracle: the splitting witness in Fraction arithmetic on the periods,
+    with the saturated real span built from the Fraction rows."""
+    cols = [a.re_vector(), a.im_vector(), b.re_vector(), b.im_vector()]
+    v = list(saturate(Sublattice(clear_denominators(cols)[0])).vectors[-1])
+    system = [[2 * p, -2 * q, 2 * r, -2 * s] for p, q, r, s in zip(*cols)]
+    xr, xi, yr, yi = rational_solve(system, v)
+    w = [2 * (xi * p + xr * q + yi * r + yr * s) for p, q, r, s in zip(*cols)]
+    plane = saturate(Sublattice(clear_denominators([v, w])[0]))
+    return {"coefficients": [0, 0, 0, 1], "vector": v,
+            "plane": [list(row) for row in plane.vectors], "pairing": format_rational(omega(v, w))}
+
+
+def rational_pair(genus, d, rng):
+    """A scrambled block pair recombined over Q(i): (l a, m b + n a) with
+    l, m != 0 spans the same complex plane, so it stays isotropic and
+    positive, and its periods get unrelated denominators."""
+    def q(nonzero=False):
+        while True:
+            z = GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+                                 Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+            if not (nonzero and z.is_zero()):
+                return z
+    a, b = pair_with_block_determinant(genus, d, rng)
+    l, m, n = q(True), q(True), q()
+    return (CohomologyClass(genus, [l * x for x in a.periods]),
+            CohomologyClass(genus, [m * y + n * x for x, y in zip(a.periods, b.periods)]))
+
+
+def test_integer_witness_matches_the_fraction_witness(monkeypatch):
+    real, planes = Sublattice._trusted.__func__, []
+
+    def recording(cls, vectors, genus):
+        planes.append([list(v) for v in vectors])
+        return real(cls, vectors, genus)
+    monkeypatch.setattr(Sublattice, "_trusted", classmethod(recording))
+    rng = random.Random(83)
+    dens = set()
+    for k in range(200):
+        genus = 3 + k % 5
+        a, b = rational_pair(genus, rng.randint(1, 10), rng)
+        dens.add(clear_denominators([a.re_vector(), a.im_vector(), b.re_vector(), b.im_vector()])[1])
+        planes.clear()
+        assert is_realizable_elliptic_pair(a, b, False).witness == fraction_witness(a, b)
+        # the witness plane is wrapped without the rank check
+        assert [integer_rank(rows) for rows in planes] == [2]
+    assert len(dens) > 50
 
 
 def test_pair_scrambled_determinants():

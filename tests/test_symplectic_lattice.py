@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
 from operator import mul
@@ -202,6 +203,49 @@ def test_is_indivisible():
     assert is_indivisible([2, 3, 0, 0])
     assert not is_indivisible([2, 4, 0, 0])
     assert not is_indivisible([0, 0, 0, 0])
+
+
+# ---------------------------------------------------------------------------
+# non-integer entries are refused, never truncated
+
+
+NOT_INTEGERS = "^entries must be integers$"
+
+
+def test_sublattice_refuses_a_float_entry():
+    # int() truncated 1.5 to 1, which made this the unit lattice
+    with pytest.raises(DomainError, match=NOT_INTEGERS):
+        Sublattice([[1.5, 0], [0, 1]])
+
+
+def test_sp_matrix_refuses_float_entries():
+    # truncated, these entries were the identity
+    with pytest.raises(DomainError, match=NOT_INTEGERS):
+        SpMatrix([[1.9, 0], [0, 1.2]])
+
+
+def test_extension_refuses_a_float_vector():
+    # truncated, this was e0, and its extension the identity
+    with pytest.raises(DomainError, match=NOT_INTEGERS):
+        extend_to_symplectic_basis([1.7, 0.2])
+
+
+def test_sublattice_names_a_fraction_entry():
+    # truncated, 1/2 became 0, and the refusal blamed dependence
+    with pytest.raises(DomainError, match=NOT_INTEGERS):
+        Sublattice([[Fraction(1, 2), 0], [0, 1]])
+
+
+def test_integral_values_that_are_not_ints_are_refused_too():
+    # only ints (and other types with __index__, such as bool) are entries
+    for entry in (Fraction(2), "3", 2.0):
+        with pytest.raises(DomainError, match=NOT_INTEGERS):
+            Sublattice([[entry, 0], [0, 1]])
+        with pytest.raises(DomainError, match=NOT_INTEGERS):
+            is_indivisible([entry, 1])
+        with pytest.raises(DomainError, match=NOT_INTEGERS):
+            SpMatrix(identity(2)).apply([entry, 1])
+    assert Sublattice([[True, 0], [0, 1]]).vectors == [(1, 0), (0, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -767,6 +811,75 @@ def test_map_rank2_requires_equal_determinants():
         map_rank2_sublattice(u, u2)
 
 
+E0, F0, E1, F1, E2 = ([int(i == k) for i in range(6)] for k in range(5))
+
+
+@pytest.mark.parametrize("mapper, source, target, message", [
+    # the determinants are read off the normal forms' divisors, and a
+    # degenerate side is refused as determinant refuses it, source first
+    (map_rank2_sublattice, [E0[:4], E1[:4]], [E0[:4], F0[:4]],
+     "not symplectic sublattice: degenerate restriction"),
+    (map_rank2_sublattice, [E0[:4], F0[:4]], [E0[:4], E1[:4]],
+     "not symplectic sublattice: degenerate restriction"),
+    (map_rank2_sublattice, [E0[:4], E1[:4]], [E0[:4], [0, 2, 0, 0]],
+     "not symplectic sublattice: degenerate restriction"),
+    (map_rank4_sublattice, [E0, F0, E1, E2], [E0, F0, E1, F1],
+     "not symplectic sublattice: degenerate restriction"),
+    (map_rank4_sublattice, [E0, F0, E1, F1], [E0, F0, E1, E2],
+     "not symplectic sublattice: degenerate restriction"),
+    (map_rank2_sublattice, [E0[:4], F0[:4]], [E0[:4], [0, 2, 1, 0]],
+     "unequal determinants: 1 vs 2"),
+    (map_rank4_sublattice, [E0, F0, E1, [0, 0, 0, 3, 1, 0]], [E0, F0, E1, F1],
+     "unequal determinants: 3 vs 1"),
+])
+def test_map_refusals_keep_their_text_and_come_before_any_reduction(
+        monkeypatch, mapper, source, target, message):
+    reductions = []
+    monkeypatch.setattr(symplectic_lattice, "_reduce_to_canonical",
+                        lambda lattice, nf: reductions.append(lattice))
+    with pytest.raises(DomainError, match="^%s$" % message):
+        mapper(Sublattice(source), Sublattice(target))
+    assert reductions == []
+
+
+def test_map_determinants_are_the_divisor_products():
+    rng = random.Random(107)
+    for _ in range(30):
+        g, det = rng.randint(3, 5), rng.randint(1, 12)
+        for make in (random_complete_rank2, random_complete_rank4):
+            lattice = make(g, det, rng)
+            assert prod(alternating_normal_form(lattice).divisors) == determinant(lattice) == det
+
+
+def test_trusted_bases_are_independent(monkeypatch):
+    # every basis wrapped without the rank check has full rank
+    real, wrapped = Sublattice._trusted.__func__, []
+
+    def recording(cls, vectors, genus):
+        wrapped.append([list(v) for v in vectors])
+        return real(cls, vectors, genus)
+    monkeypatch.setattr(Sublattice, "_trusted", classmethod(recording))
+    rng = random.Random(109)
+    for _ in range(40):
+        g = rng.randint(1, 6)
+        rows = [[rng.randint(-4, 4) for _ in range(2 * g)] for _ in range(2 * rng.randint(1, g))]
+        if integer_rank(rows) == len(rows) and determinant_or_none(rows):
+            alternating_normal_form(Sublattice(rows))
+    for _ in range(20):
+        g, det = rng.randint(3, 5), rng.randint(1, 10)
+        map_rank2_sublattice(random_complete_rank2(g, det, rng), random_complete_rank2(g, det, rng))
+        map_rank4_sublattice(random_complete_rank4(g, det, rng), random_complete_rank4(g, det, rng))
+    assert len(wrapped) > 100
+    assert all(integer_rank(rows) == len(rows) for rows in wrapped)
+
+
+def determinant_or_none(rows):
+    try:
+        return determinant(Sublattice(rows))
+    except DomainError:
+        return None
+
+
 def test_map_rank2_rejects_incomplete():
     u = Sublattice([[1, 0, 0, 0], [0, 2, 0, 0]])  # saturation adds f0
     u2 = Sublattice([[1, 0, 0, 0], [0, 2, 1, 0]])
@@ -880,8 +993,9 @@ def test_map_rank4_scaled_form_rejected():
 
 
 def wrong_for(lattice, reduce, wrong):
-    """reduce, except that it returns wrong on the given lattice."""
-    return lambda arg: wrong if arg is lattice else reduce(arg)
+    """reduce, except that it returns wrong on the given lattice; the
+    normal form the map passes goes through."""
+    return lambda arg, nf: wrong if arg is lattice else reduce(arg, nf)
 
 
 def test_map_rank2_refuses_a_wrong_target_reduction(monkeypatch):
@@ -976,7 +1090,7 @@ def test_reduction_refuses_an_incomplete_pair(vectors):
     lattice = Sublattice(vectors)
     assert not is_complete(lattice)
     with pytest.raises(DomainError, match="sublattice not complete"):
-        symplectic_lattice._reduce_to_canonical(lattice)
+        symplectic_lattice._reduce_to_canonical(lattice, alternating_normal_form(lattice))
 
 
 def test_map_refuses_a_product_outside_sp(monkeypatch):
@@ -1018,8 +1132,8 @@ def test_reduced_pairs_land_on_e0_with_a_free_e0_coefficient():
     lattices += [random_complete_rank4(rng.randint(3, 5), rng.randint(1, 10), rng) for _ in range(15)]
     coefficients = []
     for lattice in lattices:
-        r = symplectic_lattice._reduce_to_canonical(lattice)
         nf = alternating_normal_form(lattice)
+        r = symplectic_lattice._reduce_to_canonical(lattice, nf)
         vectors = nf.basis.vectors
         for lo, d in zip((0, 2), nf.divisors):
             x, y = (r.apply(v) for v in vectors[lo : lo + 2])
@@ -1045,15 +1159,16 @@ def test_a_reduction_off_e0_onto_the_canonical_lattice_is_refused(monkeypatch):
             out = [p + q for p, q in zip(out, real(a, calls[2]))]
         return out
     lattice = Sublattice([[1, 0, 0, 0], [0, 2, 1, 0]])
-    x, y = alternating_normal_form(lattice).basis.vectors
-    r = symplectic_lattice._reduce_to_canonical(lattice)
+    nf = alternating_normal_form(lattice)
+    x, y = nf.basis.vectors
+    r = symplectic_lattice._reduce_to_canonical(lattice, nf)
     moved_x, moved_y = r.apply(x), r.apply(y)
     shifted = [p + q for p, q in zip(moved_x, moved_y)]
     assert shifted != list(canonical_pair(2, 2)[0])
     assert row_hnf([shifted, moved_y]) == row_hnf(list(canonical_pair(2, 2)))
     monkeypatch.setattr(symplectic_lattice, "mat_vec", images)
     with pytest.raises(DomainError, match="canonical reduction failed"):
-        symplectic_lattice._reduce_to_canonical(lattice)
+        symplectic_lattice._reduce_to_canonical(lattice, nf)
     assert len(calls) == 5
 
 
