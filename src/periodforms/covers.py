@@ -10,7 +10,7 @@ comes from a differential.
 
 from __future__ import annotations
 
-from .errors import DomainError, check_output_size
+from .errors import DomainError, check_output_size, integer
 from .exact import GaussianRational
 from .intlinalg import row_hnf
 
@@ -21,7 +21,7 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(int(x) for x in images)
+        images = tuple(integer(x, "a permutation image") for x in images)
         d = len(images)
         if d == 0:
             raise DomainError("permutation needs positive degree")
@@ -195,8 +195,7 @@ def construct_cover(g, d) -> BranchedTorusCover:
     Degree 1 is refused for g >= 2: a bijective cover cannot raise genus,
     which is exactly why determinant-1 classes are not representable.
     """
-    g = int(g)
-    d = int(d)
+    g, d = integer(g, "genus"), integer(d, "degree")
     if g < 2:
         raise DomainError("genus must be at least 2, got %d" % g)
     if d <= 0:

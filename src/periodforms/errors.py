@@ -1,5 +1,8 @@
-"""Shared exception types for domain-level and input-shape failures, and
-the limit on results whose size grows with an integer argument."""
+"""Shared exception types for domain-level and input-shape failures, the
+check of integer arguments and the limit on results whose size grows with
+an integer argument."""
+
+from operator import index
 
 OUTPUT_LIMIT = 10**6
 
@@ -26,3 +29,13 @@ def check_output_size(count):
         raise DomainError(
             "the result would hold more than %d integers" % OUTPUT_LIMIT
         )
+
+
+def integer(value, what):
+    """value as an int; a value that is not an integer is refused, never
+    truncated (2.5, and also "2", 2.0 and Fraction(2)), while bool and
+    numpy integers, which have __index__, pass."""
+    try:
+        return index(value)
+    except TypeError:
+        raise DomainError("%s must be an integer, got %r" % (what, value)) from None

@@ -113,11 +113,13 @@ def _coerce(value) -> GaussianRational:
 
 
 class QuadraticNumber:
-    """A value a + b*sqrt(disc) with rational a, b and rational disc >= 0.
+    """A value a + b*sqrt(disc) with rational a, b and disc.
 
     Used for residues at points whose y-coordinate lives in a quadratic
-    extension.  There is no addition: quadratic_sum adds a list of them
-    exactly, grouping the sqrt coefficients by discriminant.
+    extension, so disc may be negative, as at y^2 = f(x) < 0; a value with
+    b != 0 there is not real, and float() refuses it.  There is no
+    addition: quadratic_sum adds a list of them exactly, grouping the sqrt
+    coefficients by discriminant.
     """
 
     __slots__ = ("a", "b", "disc")
@@ -142,6 +144,8 @@ class QuadraticNumber:
     def __float__(self):
         import math
 
+        if self.disc < 0:
+            raise DomainError("%r is not real" % (self,))
         return float(self.a) + float(self.b) * math.sqrt(float(self.disc))
 
     def __repr__(self):

@@ -16,7 +16,7 @@ when neither holds.  No floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 from operator import mul
 from struct import Struct
 
@@ -42,21 +42,6 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return [sum(map(mul, row, v)) for row in a]
-
-
-def vec_gcd(v):
-    g = 0
-    for a in v:
-        g = gcd(g, abs(a))
-    return g
-
-
-def is_zero_vec(v):
-    return not any(v)
-
-
-def mat_eq(a, b):
-    return len(a) == len(b) and all(list(r) == list(s) for r, s in zip(a, b))
 
 
 def clear_denominators(rows):

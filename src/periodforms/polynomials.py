@@ -8,11 +8,9 @@ and found otherwise by Brown's modular algorithm with an exact division
 check (Brown, J. ACM 18, 1971; Knuth, TAOCP vol. 2, 4.6.1).  A TernaryForm
 is integer coefficients over one positive denominator too, so its values
 at rational and Polynomial points are integer sums.  Nothing in here ever
-rounds; values at float and complex points are those the Fraction
-coefficients give, bit for bit.  A linear form's value there is one dot
-product of its converted coefficients with the coordinates, which gives the
-bits of the power tables that higher degrees use wherever its terms are
-finite.
+rounds, except the one floating-point value there is: a line at a point
+whose first coordinate is a float or complex number, one dot product of
+its coefficients, converted to that type, with the coordinates.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from fractions import Fraction
 from itertools import count
 from math import gcd, lcm
 
-from .errors import DomainError
+from .errors import DomainError, integer
 
 
 class Polynomial:
@@ -122,7 +120,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent):
-        exponent = int(exponent)
+        exponent = integer(exponent, "a polynomial power")
         if exponent < 0:
             raise DomainError("polynomial powers must be nonnegative")
         out = Polynomial((1,))
@@ -430,12 +428,12 @@ class TernaryForm:
     __slots__ = ("degree", "num", "den")
 
     def __init__(self, degree, coeffs):
-        degree = int(degree)
+        degree = integer(degree, "degree")
         if degree < 0:
             raise DomainError("a form needs a nonnegative degree")
         table = {}
         for key, value in dict(coeffs).items():
-            i, j, k = (int(e) for e in key)
+            i, j, k = (integer(e, "an exponent") for e in key)
             if min(i, j, k) < 0 or i + j + k != degree:
                 raise DomainError(
                     "exponents %r do not match degree %d" % (key, degree)
@@ -568,38 +566,20 @@ class TernaryForm:
             px, py, pz = ([x**e for e in range(n + 1)]
                           for x in (c.numerator * (d // c.denominator) for c in point))
             return Fraction(sum(c * px[i] * py[j] * pz[k] for (i, j, k), c in num), self.den * d**n)
-        # In the power tables each term multiplies its coefficient by the x
-        # power first, and a Fraction times a float or complex number is
-        # c / den, or complex(c / den), times it: so a float or complex x
-        # takes those coefficients, bit-identically, and an int or Fraction
-        # x the exact Fractions
-        den, x = self.den, point[0]
-        if isinstance(x, complex):
-            coeffs = [(key, complex(c / den)) for key, c in num]
-        elif isinstance(x, float):
-            coeffs = [(key, c / den) for key, c in num]
-        else:
-            coeffs = self.coeffs
-        if n == 1 and isinstance(x, (float, complex)):
-            # a linear form is one dot product.  The power table's factors
-            # x^0 = 1.0 or 1 + 0j change at most the sign of a zero part of
-            # a finite term, and the sum, started at 0, loses that sign; it
-            # starts at 0j when a coordinate is complex, since a complex
-            # table makes every term complex
-            _, y, z = point
-            acc = 0j if isinstance(x, complex) or isinstance(y, complex) or isinstance(z, complex) else 0
-            for (i, j, _), value in coeffs:
-                acc = acc + value * (x if i else y if j else z)
-            return acc
-        # otherwise one power table per coordinate
-        powers = [[c**0] for c in point]
-        for c, row in zip(point, powers):
-            for _ in range(n):
-                row.append(row[-1] * c)
-        px, py, pz = powers
-        acc = 0
-        for (i, j, k), value in coeffs:
-            acc = acc + value * px[i] * py[j] * pz[k]
+        # the only floating-point value: a line at a point whose first
+        # coordinate is a float or complex number, one dot product of the
+        # coefficients c / den, or complex(c / den) at a complex x, with
+        # the coordinates.  The sum starts at 0, or at 0j when a coordinate
+        # is complex, so that the result is complex then
+        x, y, z = point
+        if n != 1 or not isinstance(x, (float, complex)):
+            raise DomainError("a form is evaluated in floating point only as a line at a "
+                              "float or complex first coordinate")
+        den = self.den
+        convert = complex if isinstance(x, complex) else float
+        acc = 0j if isinstance(x, complex) or isinstance(y, complex) or isinstance(z, complex) else 0
+        for (i, j, _), c in num:
+            acc = acc + convert(c / den) * (x if i else y if j else z)
         return acc
 
     def __eq__(self, other):

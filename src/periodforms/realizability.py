@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .errors import DomainError, check_output_size
+from .errors import DomainError, check_output_size, integer
 from .exact import GaussianRational, format_rational
 
 
@@ -27,7 +27,7 @@ class CohomologyClass:
     __slots__ = ("genus", "periods", "_rows")
 
     def __init__(self, genus, periods):
-        genus = int(genus)
+        genus = integer(genus, "genus")
         if genus < 1:
             raise DomainError("genus must be positive, got %d" % genus)
         periods = tuple(
@@ -224,16 +224,10 @@ def period_group(c: CohomologyClass) -> PlanarLattice:
     return PlanarLattice(basis)
 
 
-def _real_span_lattice(classes):
-    from .symplectic_lattice import Sublattice
-    rows, _ = _cleared(classes)
-    return Sublattice([v for pair in rows for v in pair])
-
-
 def line_determinant(c: CohomologyClass) -> int:
     """Determinant of the saturated integral span of Re c and Im c."""
-    from .symplectic_lattice import determinant, saturate
-    return determinant(saturate(_real_span_lattice([c])))
+    from .symplectic_lattice import Sublattice, determinant, saturate
+    return determinant(saturate(Sublattice(c._integer_rows()[0])))
 
 
 def is_realizable_line(c: CohomologyClass) -> RealizabilityVerdict:
@@ -427,7 +421,7 @@ def _splitting_witness(a, b, lattice):
 def is_realizable_elliptic_pair(
     a: CohomologyClass, b: CohomologyClass, assume_simple
 ) -> RealizabilityVerdict:
-    from .symplectic_lattice import determinant, saturate
+    from .symplectic_lattice import Sublattice, determinant, saturate
     if a.genus != b.genus:
         raise DomainError("classes live on surfaces of different genus")
     genus = a.genus
@@ -437,11 +431,9 @@ def is_realizable_elliptic_pair(
         raise DomainError("pair is not isotropic")
     if not hodge_riemann_check([a, b]):
         raise DomainError("pair is not positive")
-    try:
-        span = _real_span_lattice([a, b])
-    except DomainError as exc:
-        raise DomainError("real span of the pair must have rank 4") from exc
-    lattice = saturate(span)
+    (re_a, im_a), (re_b, im_b) = _cleared([a, b])[0]
+    # independent: the two checks above prove rank 4 (see Sublattice)
+    lattice = saturate(Sublattice._trusted([re_a, im_a, re_b, im_b], genus))
     det = 2 * determinant(lattice)
     ok, reason, even, bound = elliptic_pair_criterion(det, genus)
     if not assume_simple:
@@ -462,7 +454,7 @@ def is_realizable_elliptic_pair(
 
 def severi_range(det):
     """Genus and node-count pairs for nodal degenerations at determinant det."""
-    det = int(det)
+    det = integer(det, "determinant")
     if det <= 0:
         raise DomainError("determinant must be positive, got %d" % det)
     if det % 2 != 0:
@@ -478,8 +470,7 @@ def polyperiod_dimension_gap(g, k) -> int:
     Positive values certify that the derivative of the k-tuple period map is
     never surjective at the given (g, k).
     """
-    g = int(g)
-    k = int(k)
+    g, k = integer(g, "genus"), integer(k, "k")
     if not 1 <= k <= g:
         raise DomainError("need 1 <= k <= genus, got k=%d, g=%d" % (k, g))
     source = 2 * g * k - (3 * k * k - k) // 2

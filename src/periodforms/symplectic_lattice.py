@@ -17,15 +17,12 @@ from .intlinalg import (
     _hermite,
     identity,
     integer_det,
-    is_zero_vec,
-    mat_eq,
     mat_mul,
     mat_vec,
     integer_rank,
     row_hnf,
     saturate_rows,
     transpose,
-    vec_gcd,
 )
 
 
@@ -48,35 +45,40 @@ def _integers(v):
 
 def is_indivisible(v) -> bool:
     """True when v is primitive: the gcd of its coordinates is 1."""
-    return vec_gcd(_integers(v)) == 1
+    return gcd(*_integers(v)) == 1
 
 
 class Sublattice:
     """A finite-rank sublattice of Z^(2g) with the standard form, given by
     generator vectors; genus defaults to half the vector length.
 
-    The generators must be integers and independent.  Rows in echelon form,
-    with no zero row and leading columns strictly increasing, are
-    independent by their shape, so only other inputs pay for the certified
-    integer_rank.  _trusted wraps rows without either check, and only where
-    a check already on the path proves them independent:
+    The generators must be integers and independent; the constructor
+    checks both, independence by the certified integer_rank.  _trusted
+    wraps integer rows of the right length without either check, and only
+    where the path already proves them independent:
 
+    - the rows of saturate: nonzero Hermite rows, whose pivots strictly
+      increase;
+    - the image of SpMatrix.apply_lattice, which the Sp(2g, Z) maps compare
+      with their target: a member of Sp(2g, Z) is invertible and takes
+      the independent rows of a Sublattice to independent rows;
     - the adapted basis of alternating_normal_form: _split_pair refuses a
       zero divisor, and the basis pairs in blocks [[0, d_i], [-d_i, 0]],
       so its Gram determinant, the product of the d_i squared, is nonzero;
-    - the image that a Sp(2g, Z) map compares with its target: the map
-      passed the SpMatrix check, so it is invertible and takes independent
-      rows to independent rows;
     - the plane of the pair verdict's splitting witness: the pairing of its
       two rows is checked to be positive, so neither is a multiple of the
-      other.
+      other;
+    - the real span of an elliptic pair, Re a, Im a, Re b, Im b: the pair
+      passed isotropy_check and hodge_riemann_check.  Let W be the complex
+      span of a and b, of dimension 2 since the Hodge-Riemann check refuses
+      dependent classes.  W is isotropic, so a t in both W and conj(W)
+      has h(t, t) = i omega(t, conj t) = 0, and t = 0 as h is positive
+      definite.  So W + conj(W), the complex span of the four rows, has
+      dimension 4.
     """
 
     def __init__(self, vectors, genus=None):
-        try:
-            vectors = [tuple(map(index, v)) for v in vectors]
-        except TypeError:
-            raise DomainError("entries must be integers") from None
+        vectors = [tuple(_integers(v)) for v in vectors]
         if not vectors:
             raise DomainError("sublattice needs at least one generator")
         n = len(vectors[0])
@@ -90,7 +92,7 @@ class Sublattice:
             raise DomainError("genus must be at least 1")
         if 2 * genus != n:
             raise DomainError("generators do not match the ambient dimension")
-        if not _is_echelon(vectors) and integer_rank(vectors) != len(vectors):
+        if integer_rank(vectors) != len(vectors):
             raise DomainError("generators are linearly dependent")
         self.genus = genus
         self.vectors = vectors
@@ -113,7 +115,7 @@ class Sublattice:
         return row_hnf(list(map(list, self.vectors)))
 
     def same_lattice(self, other: "Sublattice") -> bool:
-        return self.genus == other.genus and mat_eq(self.hnf(), other.hnf())
+        return self.genus == other.genus and self.hnf() == other.hnf()
 
     def gram_matrix(self):
         vs = self.vectors
@@ -123,21 +125,11 @@ class Sublattice:
         return "Sublattice(genus=%d, rank=%d)" % (self.genus, self.rank)
 
 
-def _is_echelon(rows) -> bool:
-    """True when no row is zero and the leading columns strictly increase."""
-    lead = -1
-    for row in rows:
-        k = next((k for k, x in enumerate(row) if x), None)
-        if k is None or k <= lead:
-            return False
-        lead = k
-    return True
-
-
 def saturate(lattice: Sublattice) -> Sublattice:
     """Smallest sublattice containing the input with torsion-free quotient."""
     sat = saturate_rows(list(map(list, lattice.vectors)), 2 * lattice.genus)
-    return Sublattice(sat, genus=lattice.genus)
+    # independent: nonzero Hermite rows (see Sublattice)
+    return Sublattice._trusted(sat, lattice.genus)
 
 
 def is_complete(lattice: Sublattice) -> bool:
@@ -150,7 +142,7 @@ def is_complete(lattice: Sublattice) -> bool:
     there, and a map asks this test only after a reduction has refused,
     to name the cause.
     """
-    return mat_eq(row_hnf(transpose(lattice.vectors)), identity(lattice.rank))
+    return row_hnf(transpose(lattice.vectors)) == identity(lattice.rank)
 
 
 def determinant(lattice: Sublattice) -> int:
@@ -205,7 +197,7 @@ def alternating_normal_form(lattice: Sublattice) -> NormalForm:
     return NormalForm(divisors, basis, [r[n:] for r in rows])
 
 
-def _split_pair(rows, n=None):
+def _split_pair(rows, n):
     """Split one hyperbolic pair off the rows: returns (d, a, b, rest).
 
     Only the first n entries of each row are paired; later columns ride
@@ -225,17 +217,16 @@ def _split_pair(rows, n=None):
     and the step repeats; the least content falls strictly each time, so the
     loop ends.
     """
-    n = len(rows[0]) if n is None else n
     while True:
         vs = [r[:n] for r in rows]
         jt = _j_times(transpose(vs))
         gram = []
         for v in vs:
             gram += mat_mul([v], jt)
-            if vec_gcd(gram[-1]) == 1:
+            if gcd(*gram[-1]) == 1:
                 break  # no content is smaller, and then d = 1
-        contents = [vec_gcd(row) for row in gram]
-        d = vec_gcd(contents)
+        contents = [gcd(*row) for row in gram]
+        d = gcd(*contents)
         if d == 0:
             raise DomainError("degenerate restriction")
         c = min(x for x in contents if x)
@@ -315,7 +306,9 @@ class SpMatrix:
     def apply_lattice(self, lattice: Sublattice) -> Sublattice:
         if lattice.genus != self.genus:
             raise DomainError("lattice does not live in this matrix's space")
-        return Sublattice([self.apply(v) for v in lattice.vectors], genus=self.genus)
+        # independent: the rows of a Sublattice, mapped by an invertible
+        # matrix (see Sublattice)
+        return Sublattice._trusted([mat_vec(self.entries, v) for v in lattice.vectors], self.genus)
 
     def compose(self, other: "SpMatrix") -> "SpMatrix":
         """self after other (matrix product self * other)."""
@@ -326,7 +319,7 @@ class SpMatrix:
         return SpMatrix._trusted(_j_times(transpose(_j_times(self.entries))))
 
     def __eq__(self, other):
-        return isinstance(other, SpMatrix) and mat_eq(self.entries, other.entries)
+        return isinstance(other, SpMatrix) and self.entries == other.entries
 
     def __repr__(self):
         return "SpMatrix(genus=%d)" % self.genus
@@ -414,16 +407,15 @@ def _moves_to_e0(v, a=None):
     return a
 
 
-def _canonical_rank2(d: int, genus: int) -> Sublattice:
+def _canonical_rank2(d: int, genus: int):
+    """The rows of the canonical lattice of d: e0, and f0 at d = 1 or
+    d*f0 + e1 otherwise."""
     n = 2 * genus
     e0 = [1] + [0] * (n - 1)
-    if d == 1:
-        f0 = [0, 1] + [0] * (n - 2)
-        return Sublattice([e0, f0])
-    y = [0] * n
-    y[1] = d
-    y[2] = 1
-    return Sublattice([e0, y])
+    y = [0, d] + [0] * (n - 2)
+    if d != 1:
+        y[2] = 1
+    return e0, y
 
 
 def _reduce_pair(a, lo: int, x, y, d: int):
@@ -462,11 +454,11 @@ def _reduce_pair(a, lo: int, x, y, d: int):
     if y1[1] != d:
         raise DomainError("pairing with e0 must equal the divisor")
     z = y1[2:]
-    if is_zero_vec(z):
+    if not any(z):
         if d != 1:
             raise DomainError("sublattice not complete")
         return
-    m = vec_gcd(z)
+    m = gcd(*z)
     if gcd(m, d) != 1:
         raise DomainError("sublattice not complete")
     a[lo + 2 :] = _moves_to_e0([t // m for t in z], a[lo + 2 :])
@@ -486,8 +478,8 @@ def _reduce_pair(a, lo: int, x, y, d: int):
     a[lo + 2] = [i + w0 * j for i, j in zip(e1, f0)]
     a[lo + 3] = [i + w1 * j for i, j in zip(f1, f0)]
     xl, yl = mat_vec(a, x)[lo:], mat_vec(a, y)[lo:]
-    c = _canonical_rank2(d, len(xl) // 2).vectors[1]
-    if xl[0] != 1 or any(xl[1:]) or yl[1:] != list(c[1:]):
+    c = _canonical_rank2(d, len(xl) // 2)[1]
+    if xl[0] != 1 or any(xl[1:]) or yl[1:] != c[1:]:
         raise DomainError("canonical reduction failed")
 
 
@@ -552,11 +544,9 @@ def _map_sublattice(u: Sublattice, u2: Sublattice, rank: int) -> SpMatrix:
             raise DomainError("sublattice not complete") from None
         raise
     # SpMatrix revalidates the product and the image is compared explicitly,
-    # so both checks still run under python -O; the checked delta is
-    # invertible, so the image of u's rows is independent (see Sublattice)
+    # so both checks still run under python -O
     delta = SpMatrix(r2.inverse().compose(r1).entries)
-    image = Sublattice._trusted([mat_vec(delta.entries, v) for v in u.vectors], u.genus)
-    if not image.same_lattice(u2):
+    if not delta.apply_lattice(u).same_lattice(u2):
         raise DomainError("rank-%d mapping failed" % rank)
     return delta
 

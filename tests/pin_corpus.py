@@ -5,7 +5,7 @@ path, of the polynomial gcd and squarefree test, of the quartic
 smoothness and cross-ratio verdicts, of the exact residues and section
 values, of the cover invariants and origami genera, of the Sp(2g, Z) maps
 between complete rank-2 and rank-4 sublattices and of the floats of the
-curve queries (cross-ratios, numeric residues and section values, form
+curve queries (cross-ratios, numeric residues and section values, line
 values at float and complex points), pinned by digest.
 
 Each family is a fixed, seeded list of calls.  A call is rendered as one
@@ -618,8 +618,8 @@ def curve_float_calls(rng):
     smooth quartics for an alpha line, then the four basis moves of (beta,
     gamma), then a second alpha, then the first again; numeric residues and
     section values after the exact ones on the same curve and alpha, and on
-    an irrational zero locus; TernaryForm values at float, complex and
-    mixed points."""
+    an irrational zero locus; the values of lines at points whose first
+    coordinate is a float or complex number, the others mixed in."""
     for _ in range(6):
         quartic = _smooth_quartic(rng)
         first, second, beta, gamma = (_random_line(rng) for _ in range(4))
@@ -667,7 +667,11 @@ def curve_float_calls(rng):
                                     for m in ternary_monomials(degree)})
         for kind in kinds:
             point = tuple(_float_coordinate(rng, k) for k in kind)
-            yield "value(%s, %s)" % (render(form.coeffs), _hex(point)), outcome(form, point, show=_hex)
+            # every point is drawn, so the lines kept are those of the
+            # draws they always were; only a line at a float or complex
+            # first coordinate has a floating-point value
+            if degree == 1 and kind[0] in ("float", "complex"):
+                yield "value(%s, %s)" % (render(form.coeffs), _hex(point)), outcome(form, point, show=_hex)
 
 
 def _cover_analyze(a, b, branch):

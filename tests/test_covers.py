@@ -391,3 +391,14 @@ def test_cover_certificates_realizable():
             assert verdict.realizable
             assert verdict.det == det
             assert verdict.area == cover_area / covol
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Permutation([0.5, 1.7]), "a permutation image must be an integer, got 0.5"),
+    (lambda: construct_cover(2.5, 3), "genus must be an integer, got 2.5"),
+    (lambda: construct_cover(2, 2.9), "degree must be an integer, got 2.9"),
+])
+def test_integer_arguments_are_refused_not_truncated(build, message):
+    # int() truncated these: images (0, 1), genus 2 and degree 2
+    with pytest.raises(DomainError, match="^%s$" % message):
+        build()

@@ -805,6 +805,19 @@ def test_residue_sum_vanishes_exactly():
             assert first.disc == second.disc and first.b + second.b == 0
 
 
+def test_residues_can_have_a_negative_discriminant():
+    # f = x^5 - x at the zeros of alpha = x + 2: y^2 = f(-2) = -30
+    curve = HyperellipticCurve(Polynomial([0, -1, 0, 0, 0, 1]))
+    alpha = Differential(curve, Polynomial([2, 1]))
+    residues = residues_of_quotient(QuadDifferential(curve, [1]), alpha)
+    assert [(r.a, r.b, r.disc) for r in residues] == [(0, F(-1, 30), -30), (0, F(1, 30), -30)]
+    assert quadratic_sum(residues) == 0
+    # not real, so no float: a DomainError, not a bare math domain error
+    for r in residues:
+        with pytest.raises(DomainError, match="is not real$"):
+            float(r)
+
+
 def test_residues_match_complex_evaluation():
     curve = hyperelliptic([3, 4, 5, 6, 7, 8, 9, 10])
     alpha = Differential(curve, Polynomial.from_roots([0, 2]))

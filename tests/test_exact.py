@@ -105,3 +105,21 @@ def test_quadratic_sum_nonrational_rejected():
     vals = [QuadraticNumber(Fraction(0), Fraction(1), 5)]
     with pytest.raises(DomainError):
         quadratic_sum(vals)
+
+
+def test_integer_arguments_keep_index_semantics():
+    import numpy
+    from periodforms.errors import integer
+
+    assert integer(True, "k") == 1 and integer(numpy.int64(7), "k") == 7
+    for value in ("2", 2.0, Fraction(2), 2.5):
+        with pytest.raises(DomainError, match="^k must be an integer, got "):
+            integer(value, "k")
+
+
+def test_quadratic_number_with_a_negative_discriminant_has_no_float():
+    q = QuadraticNumber(0, Fraction(-1, 30), -30)
+    with pytest.raises(DomainError, match=r"^QuadraticNumber\(0 \+ -1/30\*sqrt\(-30\)\) is not real$"):
+        float(q)
+    # without a radical part the value is rational, whatever the discriminant
+    assert float(QuadraticNumber(Fraction(1, 4), 0, -30)) == 0.25

@@ -13,7 +13,6 @@ from periodforms.intlinalg import (
     identity,
     integer_det,
     integer_rank,
-    mat_eq,
     mat_mul,
     rational_kernel,
     rational_rank,
@@ -138,7 +137,7 @@ def test_hnf_transform_reconstructs():
         n = rng.randint(1, 5)
         a = random_matrix(rng, m, n)
         h, u = hermite_transform(a)
-        assert mat_eq(mat_mul(u, a), h)
+        assert mat_mul(u, a) == h
         assert is_unimodular(u)
 
 
@@ -162,7 +161,7 @@ def test_hnf_canonical_for_equal_row_spans():
             if i != j:
                 c = rng.randint(-3, 3)
                 b[i] = [x + c * y for x, y in zip(b[i], b[j])]
-        assert mat_eq(row_hnf(a), row_hnf(b))
+        assert row_hnf(a) == row_hnf(b)
 
 
 def test_integer_kernel_small_cases():
@@ -188,9 +187,9 @@ def test_integer_kernel_exactness():
 
 def test_saturate_rows():
     sat = saturate_rows([[2, 0], [0, 3]], 2)
-    assert mat_eq(sat, [[1, 0], [0, 1]])
+    assert sat == [[1, 0], [0, 1]]
     sat = saturate_rows([[2, 4]], 2)
-    assert mat_eq(sat, [[1, 2]])
+    assert sat == [[1, 2]]
     assert saturate_rows([], 3) == saturate_rows([[0, 0, 0]], 3) == []
     with pytest.raises(DomainError, match="needs a width"):
         saturate_rows([])

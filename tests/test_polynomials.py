@@ -477,6 +477,9 @@ def bits(value):
 # the oracle's y table is complex, so x alone at this point is complex
 @example((0, {(0, 0, 0): 1}, {(1, 0, 0): F(-1, 3), (0, 1, 0): 0, (0, 0, 1): 0}), (-0.0, 1.5j, 2.0))
 def test_ternary_form_matches_the_fraction_oracle(case, point):
+    # every form is compared at exact points; at a point with a float or
+    # complex coordinate, which has one as its first coordinate here, only
+    # lines have a value, and the others are refused
     degree, table, line = case
     form, oracle = TernaryForm(degree, table), FractionTernaryForm(degree, table)
     lin, lin_oracle = TernaryForm(1, line), FractionTernaryForm(1, line)
@@ -484,8 +487,13 @@ def test_ternary_form_matches_the_fraction_oracle(case, point):
              (form.scale(F(-3, 7)), oracle.scale(F(-3, 7))), (form + form.scale(2), oracle + oracle.scale(2))]
     if degree:
         pairs += [(form.partial(v), oracle.partial(v)) for v in range(3)]
+    floating = any(isinstance(c, (float, complex)) for c in point)
     for got, expected in pairs:
         assert got.coeffs == expected.coeffs
+        if floating and got.degree != 1 and not got.is_zero():
+            with pytest.raises(DomainError, match="only as a line"):
+                got(point)
+            continue
         value, reference = got(point), expected(point)
         assert type(value) is type(reference) and bits(value) == bits(reference)
 
@@ -500,6 +508,22 @@ def test_linear_is_the_degree_one_form(a, b, c):
     assert form == general and hash(form) == hash(general)
 
 
+@pytest.mark.parametrize("degree, point", [
+    (2, (0.5, 1.0, -2.0)),
+    (4, (1j, 2, F(1, 3))),
+    (0, (0.0, 0.0, 0.0)),
+    (1, (1, 0.5, 2.0)),
+    (1, (F(1, 2), 1j, 0)),
+])
+def test_ternary_form_refuses_other_floating_point_values(degree, point):
+    # the power tables that gave these values are gone: in floating point a
+    # form is evaluated only as a line at a float or complex first coordinate
+    form = TernaryForm(degree, {m: k + 1 for k, m in enumerate(ternary_monomials(degree))})
+    with pytest.raises(DomainError, match="^a form is evaluated in floating point only as a line at a "
+                                          "float or complex first coordinate$"):
+        form(point)
+
+
 def test_ternary_monomial_order():
     assert ternary_monomials(1) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert ternary_monomials(2) == [
@@ -512,6 +536,17 @@ def test_ternary_homogeneity_enforced():
         TernaryForm(4, {(3, 0, 0): 1})
     with pytest.raises(DomainError):
         TernaryForm(2, {(1, -1, 2): 1})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Polynomial([0, 1]) ** 2.7, "a polynomial power must be an integer, got 2.7"),
+    (lambda: TernaryForm(4.2, {(4, 0, 0): 1}), "degree must be an integer, got 4.2"),
+    (lambda: TernaryForm(4, {(4.9, 0, 0): 1}), "an exponent must be an integer, got 4.9"),
+])
+def test_integer_arguments_are_refused_not_truncated(build, message):
+    # int() truncated these: x^2 and x^4
+    with pytest.raises(DomainError, match="^%s$" % message):
+        build()
 
 
 def test_ternary_product_and_euler_identity():

@@ -25,7 +25,7 @@ from periodforms.realizability import (
 )
 from periodforms.symplectic_lattice import Sublattice, determinant, omega, saturate
 
-from test_symplectic_lattice import is_member, random_sp
+from test_symplectic_lattice import is_member, random_sp, recording_trusted
 
 
 def cls(genus, *vals):
@@ -625,23 +625,34 @@ def rational_pair(genus, d, rng):
 
 
 def test_integer_witness_matches_the_fraction_witness(monkeypatch):
-    real, planes = Sublattice._trusted.__func__, []
-
-    def recording(cls, vectors, genus):
-        planes.append([list(v) for v in vectors])
-        return real(cls, vectors, genus)
-    monkeypatch.setattr(Sublattice, "_trusted", classmethod(recording))
+    wrapped = recording_trusted(monkeypatch)
     rng = random.Random(83)
     dens = set()
     for k in range(200):
         genus = 3 + k % 5
         a, b = rational_pair(genus, rng.randint(1, 10), rng)
         dens.add(clear_denominators([a.re_vector(), a.im_vector(), b.re_vector(), b.im_vector()])[1])
-        planes.clear()
-        assert is_realizable_elliptic_pair(a, b, False).witness == fraction_witness(a, b)
-        # the witness plane is wrapped without the rank check
-        assert [integer_rank(rows) for rows in planes] == [2]
+        wrapped.clear()
+        witness = is_realizable_elliptic_pair(a, b, False).witness
+        # the pair's real span, the witness plane and both saturations are
+        # wrapped without the rank check, and each has full rank
+        assert [(caller, len(rows)) for caller, rows in wrapped] == [
+            ("is_realizable_elliptic_pair", 4), ("saturate", 4), ("_splitting_witness", 2), ("saturate", 2)]
+        assert all(integer_rank(rows) == len(rows) for _, rows in wrapped)
+        assert witness == fraction_witness(a, b)
     assert len(dens) > 50
+
+
+def test_the_checks_of_a_pair_prove_its_real_span_has_rank_4():
+    # is_realizable_elliptic_pair wraps the four cleared real rows without
+    # the rank test, on the proof that isotropy and positivity give rank 4
+    rng = random.Random(89)
+    for k in range(200):
+        genus = 3 + k % 5
+        a, b = rational_pair(genus, rng.randint(1, 10), rng)
+        assert isotropy_check(a, b) and hodge_riemann_check([a, b])
+        rows, _ = clear_denominators([a.re_vector(), a.im_vector(), b.re_vector(), b.im_vector()])
+        assert integer_rank(rows) == 4
 
 
 def test_pair_scrambled_determinants():
@@ -693,6 +704,18 @@ def test_severi_range_properties():
 def test_severi_range_refuses_a_result_past_the_output_limit():
     with pytest.raises(DomainError, match="more than 1000000 integers"):
         severi_range(10**6 + 2)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CohomologyClass(2.9, [0] * 4), "genus must be an integer, got 2.9"),
+    (lambda: severi_range(4.5), "determinant must be an integer, got 4.5"),
+    (lambda: polyperiod_dimension_gap(3.9, 1), "genus must be an integer, got 3.9"),
+    (lambda: polyperiod_dimension_gap(4, 1.2), "k must be an integer, got 1.2"),
+])
+def test_integer_arguments_are_refused_not_truncated(build, message):
+    # int() truncated these: genus 2, the table of det 4 and a gap of -3
+    with pytest.raises(DomainError, match="^%s$" % message):
+        build()
 
 
 def test_dimension_gap_table():

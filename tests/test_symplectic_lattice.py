@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -16,7 +17,6 @@ from periodforms.errors import DomainError
 from periodforms.intlinalg import (
     identity,
     integer_rank,
-    mat_eq,
     mat_mul,
     row_hnf,
     transpose,
@@ -385,7 +385,7 @@ def test_normal_form_divisors_match_minor_oracle():
         assert prod == determinant(lat)
         # the change matrix really produces the stated basis and Gram
         got = mat_mul(nf.change, [list(v) for v in lat.vectors])
-        assert mat_eq(got, [list(v) for v in nf.basis.vectors])
+        assert got == [list(v) for v in nf.basis.vectors]
         assert nf.basis.gram_matrix() == block_gram(nf.divisors)
         assert nf.basis.same_lattice(lat)
 
@@ -501,7 +501,7 @@ def test_extend_first_column_and_symplectic():
         assert [row[0] for row in a.entries] == v
         # SpMatrix construction already verified A^T J A = J; double-check
         j = standard_gram(g)
-        assert mat_eq(mat_mul(transpose(a.entries), mat_mul(j, a.entries)), j)
+        assert mat_mul(transpose(a.entries), mat_mul(j, a.entries)) == j
         j_checked += 1
     assert j_checked > 40
 
@@ -772,11 +772,9 @@ def test_sublattice_accepts_exactly_the_independent_rows(monkeypatch):
                 assert not independent
             else:
                 assert independent and lattice.rank == len(rows)
-            # the echelon shape alone proves independence
-            leads = [next((k for k, x in enumerate(r) if x), len(r)) for r in rows]
-            echelon = leads == sorted(set(leads)) and leads[-1] < len(rows[0])
-            assert (ranks == []) == echelon
-            assert echelon or shape != "echelon"
+            # the public constructor runs the rank test on every input,
+            # echelon rows included; only _trusted skips it
+            assert ranks == [[tuple(r) for r in rows]]
             seen.add((shape, independent))
     assert seen == {("echelon", True), ("zero row", False), ("repeated lead", True),
                     ("repeated lead", False), ("dependent", False), ("any", True), ("any", False)}
@@ -851,26 +849,37 @@ def test_map_determinants_are_the_divisor_products():
             assert prod(alternating_normal_form(lattice).divisors) == determinant(lattice) == det
 
 
-def test_trusted_bases_are_independent(monkeypatch):
-    # every basis wrapped without the rank check has full rank
+def recording_trusted(monkeypatch):
+    """Wraps Sublattice._trusted so that each call records the name of its
+    caller and its rows; returns the list of (caller, rows)."""
     real, wrapped = Sublattice._trusted.__func__, []
 
     def recording(cls, vectors, genus):
-        wrapped.append([list(v) for v in vectors])
+        wrapped.append((sys._getframe(1).f_code.co_name, [list(v) for v in vectors]))
         return real(cls, vectors, genus)
     monkeypatch.setattr(Sublattice, "_trusted", classmethod(recording))
+    return wrapped
+
+
+def test_trusted_bases_are_independent(monkeypatch):
+    # every basis wrapped without the rank check has full rank: the
+    # saturations, the normal-form bases and the images of the maps
+    wrapped = recording_trusted(monkeypatch)
     rng = random.Random(109)
     for _ in range(40):
         g = rng.randint(1, 6)
-        rows = [[rng.randint(-4, 4) for _ in range(2 * g)] for _ in range(2 * rng.randint(1, g))]
-        if integer_rank(rows) == len(rows) and determinant_or_none(rows):
-            alternating_normal_form(Sublattice(rows))
+        rows = [[rng.randint(-4, 4) for _ in range(2 * g)] for _ in range(rng.randint(1, 2 * g))]
+        if integer_rank(rows) == len(rows):
+            saturate(Sublattice([[3 * x for x in r] for r in rows]))
+            if determinant_or_none(rows):
+                alternating_normal_form(Sublattice(rows))
     for _ in range(20):
         g, det = rng.randint(3, 5), rng.randint(1, 10)
         map_rank2_sublattice(random_complete_rank2(g, det, rng), random_complete_rank2(g, det, rng))
         map_rank4_sublattice(random_complete_rank4(g, det, rng), random_complete_rank4(g, det, rng))
     assert len(wrapped) > 100
-    assert all(integer_rank(rows) == len(rows) for rows in wrapped)
+    assert {caller for caller, _ in wrapped} == {"saturate", "alternating_normal_form", "apply_lattice"}
+    assert all(integer_rank(rows) == len(rows) for _, rows in wrapped)
 
 
 def determinant_or_none(rows):
@@ -1107,7 +1116,7 @@ def test_map_refuses_a_product_outside_sp(monkeypatch):
 def test_canonical_reduction_is_checked(monkeypatch):
     # the reduction lands on span(e0, 2 f0 + e1), not on this target
     monkeypatch.setattr(symplectic_lattice, "_canonical_rank2",
-                        lambda d, genus: Sublattice([[1, 0, 0, 0], [0, d, 0, 1]]))
+                        lambda d, genus: ([1, 0, 0, 0], [0, d, 0, 1]))
     u = Sublattice([[1, 0, 0, 0], [0, 2, 1, 0]])
     with pytest.raises(DomainError, match="canonical reduction failed"):
         map_rank2_sublattice(u, u)
@@ -1240,7 +1249,7 @@ def test_hnf_is_canonical_under_recombination():
             else:
                 b = [x + c * y for x, y in zip(b, a)]
         other = Sublattice([a, b])
-        assert mat_eq(lat.hnf(), other.hnf())
+        assert lat.hnf() == other.hnf()
 
 
 @st.composite
@@ -1264,7 +1273,7 @@ def lattices_with_scaled_rows(draw):
 def test_is_complete_agrees_with_saturation(rows):
     assume(integer_rank(rows) == len(rows))
     lat = Sublattice(rows)
-    assert is_complete(lat) == mat_eq(lat.hnf(), saturate(lat).hnf())
+    assert is_complete(lat) == (lat.hnf() == saturate(lat).hnf())
 
 
 def test_integer_kernel_is_saturated():
@@ -1280,7 +1289,7 @@ def test_integer_kernel_is_saturated():
             sat = row_hnf([list(v) for v in ker])
             from periodforms.intlinalg import saturate_rows
 
-            assert mat_eq(sat, saturate_rows([list(v) for v in ker], n))
+            assert sat == saturate_rows([list(v) for v in ker], n)
 
 
 def broken_normal_form(monkeypatch, rank, breaks):
