@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import gcd, isqrt, prod
 from operator import index, mul
 
-from .errors import DomainError
+from .errors import DomainError, integer
 from .intlinalg import (
     _hermite,
     identity,
@@ -86,9 +86,8 @@ class Sublattice:
             raise DomainError("generators have mixed lengths")
         if n % 2 != 0 or n < 2:
             raise DomainError("ambient dimension must be even and positive")
-        if genus is None:
-            genus = n // 2
-        elif genus < 1:
+        genus = n // 2 if genus is None else integer(genus, "genus")
+        if genus < 1:
             raise DomainError("genus must be at least 1")
         if 2 * genus != n:
             raise DomainError("generators do not match the ambient dimension")

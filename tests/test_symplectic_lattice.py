@@ -726,6 +726,14 @@ def test_sublattice_rejects_dependent_generators():
     assert Sublattice([[big, 1, 0, 0], [0, big, 1, 0], [big, 1 + big, 2, 0]]).rank == 3
 
 
+def test_sublattice_refuses_a_genus_that_is_not_an_integer():
+    # a genus of 2.0 matched 4 entries and was kept as a float, and every
+    # later slice by it ended in a bare TypeError
+    with pytest.raises(DomainError, match="^genus must be an integer, got 2.0$"):
+        Sublattice([[1, 0, 0, 0], [0, 2, 1, 0]], genus=2.0)
+    assert Sublattice([[1, 0, 0, 0], [0, 2, 1, 0]], genus=2).genus == 2
+
+
 def shaped_rows(rng, shape, n):
     """Integer rows of width n: echelon, echelon with a zero row, echelon
     with a repeated leading column, one row a combination of the others,
@@ -868,7 +876,7 @@ def test_trusted_bases_are_independent(monkeypatch):
     rng = random.Random(109)
     for _ in range(40):
         g = rng.randint(1, 6)
-        rows = [[rng.randint(-4, 4) for _ in range(2 * g)] for _ in range(rng.randint(1, 2 * g))]
+        rows = [[rng.randint(-4, 4) for _ in range(2 * g)] for _ in range(2 * rng.randint(1, g))]
         if integer_rank(rows) == len(rows):
             saturate(Sublattice([[3 * x for x in r] for r in rows]))
             if determinant_or_none(rows):
